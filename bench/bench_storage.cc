@@ -1,7 +1,9 @@
 // Standalone storage-layer benchmark runner: times the same-generation
 // query across the engine and the baseline strategies on the Figure 7 /
 // Figure 8 samples and a wide ladder, reporting wall time plus the paper's
-// `t`-cost (EDB fetch count) per benchmark.
+// `t`-cost (EDB fetch count) per benchmark. A `load` row times the load
+// path itself (ParseProgram + PrepareProgram) over a generated fact text
+// of at least 1 MB and reports facts/s and MB/s (10^6 bytes).
 //
 // Usage:
 //   bench_storage [--n <size>] [--reps <k>] [--smoke] [--json [path]]
@@ -38,6 +40,8 @@ struct BenchResult {
   uint64_t results = 0;  // answer-set size (sanity: must match across PRs)
   bool ok = true;
   std::string error;
+  double facts_per_s = 0;  // load row only
+  double mb_per_s = 0;     // load row only
 };
 
 /// Runs `body` `reps` times; records the fastest wall time and the fetch
@@ -168,7 +172,63 @@ void RunSample(const std::string& label, SampleFn build, size_t n,
   }
 }
 
+/// Times ParseProgram + PrepareProgram (the service's start-up load) over
+/// the sg rules and >= 1 MB of distinct up/flat/down facts. `results` is
+/// the number of rows loaded; ok requires it to equal the number of facts
+/// generated, so the regression gate's ok check covers loader correctness.
+void RunLoad(int reps, std::vector<BenchResult>& out) {
+  std::string text = workloads::SgProgramText();
+  uint64_t facts = 0;
+  for (size_t i = 0; text.size() < (size_t{1} << 20); ++i) {
+    const std::string a = "a" + std::to_string(i);
+    const std::string b = "b" + std::to_string(i);
+    text += "up(" + a + ", a" + std::to_string(i + 1) + ").\n";
+    text += "flat(" + a + ", b" + std::to_string(i * 7919 % 10007) + ").\n";
+    text += "down(" + b + ", b" + std::to_string(i / 2) + ").\n";
+    facts += 3;
+  }
+  BenchResult r;
+  r.name = "load/parse+prepare/bytes=" + std::to_string(text.size());
+  r.wall_ms = 1e300;
+  for (int i = 0; i < reps; ++i) {
+    Database db;
+    auto t0 = std::chrono::steady_clock::now();
+    auto parsed = ParseProgram(text, db.symbols());
+    if (!parsed.ok()) {
+      r.ok = false;
+      r.error = parsed.status().message();
+      break;
+    }
+    auto plan = PrepareProgram(&db, parsed.value(), /*compile_machines=*/true);
+    const double ms = MsSince(t0);
+    if (!plan.ok()) {
+      r.ok = false;
+      r.error = plan.status().message();
+      break;
+    }
+    uint64_t rows = 0;
+    for (const std::string& name : db.relation_names()) {
+      rows += db.Find(name)->size();
+    }
+    if (rows != facts) {
+      r.ok = false;
+      r.error = "loaded " + std::to_string(rows) + " rows from " +
+                std::to_string(facts) + " facts";
+    }
+    if (ms < r.wall_ms) {
+      r.wall_ms = ms;
+      r.results = rows;
+    }
+  }
+  if (r.ok) {
+    r.facts_per_s = static_cast<double>(facts) / (r.wall_ms / 1e3);
+    r.mb_per_s = static_cast<double>(text.size()) / 1e6 / (r.wall_ms / 1e3);
+  }
+  out.push_back(r);
+}
+
 void RunAll(size_t n, size_t small_n, int reps, std::vector<BenchResult>& out) {
+  RunLoad(reps, out);
   RunSample("fig7a", &workloads::Fig7a, n, small_n, reps, out);
   RunSample("fig7b", &workloads::Fig7b, n, small_n, reps, out);
   RunSample("fig7c", &workloads::Fig7c, n, small_n, reps, out);
@@ -251,9 +311,13 @@ int main(int argc, char** argv) {
       std::printf("%-36s ERROR: %s\n", r.name.c_str(), r.error.c_str());
       continue;
     }
-    std::printf("%-36s %12.3f %12llu %10llu\n", r.name.c_str(), r.wall_ms,
+    std::printf("%-36s %12.3f %12llu %10llu", r.name.c_str(), r.wall_ms,
                 static_cast<unsigned long long>(r.fetches),
                 static_cast<unsigned long long>(r.results));
+    if (r.facts_per_s > 0) {
+      std::printf("  %.0f facts/s, %.1f MB/s", r.facts_per_s, r.mb_per_s);
+    }
+    std::printf("\n");
   }
 
   if (json) {
@@ -264,8 +328,12 @@ int main(int argc, char** argv) {
       const BenchResult& r = results[i];
       out << "    {\"name\": \"" << JsonEscape(r.name) << "\", \"ok\": "
           << (r.ok ? "true" : "false") << ", \"wall_ms\": " << r.wall_ms
-          << ", \"fetches\": " << r.fetches << ", \"results\": " << r.results
-          << "}" << (i + 1 < results.size() ? "," : "") << "\n";
+          << ", \"fetches\": " << r.fetches << ", \"results\": " << r.results;
+      if (r.facts_per_s > 0) {
+        out << ", \"facts_per_s\": " << r.facts_per_s
+            << ", \"mb_per_s\": " << r.mb_per_s;
+      }
+      out << "}" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";
     std::printf("wrote %s\n", json_path.c_str());

@@ -33,6 +33,11 @@ struct Term {
   }
 };
 
+/// Spelling prefix of the fresh variable the parser makes for each `_`.
+/// '#' never occurs in a lexed identifier, so no variable the user names
+/// can capture an anonymous one.
+inline constexpr std::string_view kAnonymousVarPrefix = "_#";
+
 /// p(t1, ..., tn). Built-in predicates are ordinary literals whose predicate
 /// symbol spells a comparison operator.
 struct Literal {

@@ -1,113 +1,137 @@
 #include "datalog/lexer.h"
 
-#include <cctype>
+#include <array>
+#include <cstdint>
+#include <string>
 
 namespace binchain {
 namespace {
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '-';
+enum : uint8_t {
+  kIdentChar = 1,   // [A-Za-z0-9_-]
+  kUpperStart = 2,  // [A-Z_]: starts a variable
+};
+
+// ASCII classes (the "C" locale's isalnum/isupper); bytes >= 0x80 are in
+// no class.
+constexpr std::array<uint8_t, 256> MakeCharClass() {
+  std::array<uint8_t, 256> t{};
+  for (int c = 'a'; c <= 'z'; ++c) t[c] = kIdentChar;
+  for (int c = '0'; c <= '9'; ++c) t[c] = kIdentChar;
+  for (int c = 'A'; c <= 'Z'; ++c) t[c] = kIdentChar | kUpperStart;
+  t['_'] = kIdentChar | kUpperStart;
+  t['-'] = kIdentChar;
+  return t;
 }
+constexpr std::array<uint8_t, 256> kCharClass = MakeCharClass();
+
+uint8_t ClassOf(char c) { return kCharClass[static_cast<unsigned char>(c)]; }
 
 }  // namespace
 
-Result<std::vector<Token>> Lex(std::string_view src) {
-  std::vector<Token> out;
-  int line = 1;
-  int col = 1;
-  size_t i = 0;
-  auto advance = [&](size_t k) {
-    for (size_t j = 0; j < k; ++j) {
-      if (i < src.size() && src[i] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-      ++i;
-    }
-  };
-  auto error = [&](const std::string& msg) {
-    return Status::InvalidArgument("lex error at " + std::to_string(line) +
-                                   ":" + std::to_string(col) + ": " + msg);
-  };
+Token Lexer::Fail(const std::string& what) {
+  status_ = Status::InvalidArgument("lex error at " + std::to_string(line_) +
+                                    ":" + std::to_string(col()) + ": " + what);
+  return Token{TokenKind::kEof, {}, line_, col()};
+}
 
-  while (i < src.size()) {
-    char c = src[i];
-    if (c == ' ' || c == '\t' || c == '\r' || c == '\n') {
-      advance(1);
+Token Lexer::Next() {
+  if (!status_.ok()) return Token{TokenKind::kEof, {}, line_, col()};
+  const size_t n = src_.size();
+  while (pos_ < n) {
+    const char c = src_[pos_];
+    if (c == ' ' || c == '\t' || c == '\r') {
+      ++pos_;
       continue;
     }
-    if (c == '%') {  // comment to end of line
-      while (i < src.size() && src[i] != '\n') advance(1);
+    if (c == '\n') {
+      ++line_;
+      line_start_ = ++pos_;
       continue;
     }
-    int tl = line, tc = col;
-    auto push = [&](TokenKind kind, std::string text, size_t len) {
-      out.push_back(Token{kind, std::move(text), tl, tc});
-      advance(len);
-    };
-    switch (c) {
-      case '(':
-        push(TokenKind::kLParen, "(", 1);
-        continue;
-      case ')':
-        push(TokenKind::kRParen, ")", 1);
-        continue;
-      case ',':
-        push(TokenKind::kComma, ",", 1);
-        continue;
-      case '.':
-        push(TokenKind::kPeriod, ".", 1);
-        continue;
-      default:
-        break;
-    }
-    if (c == ':' && i + 1 < src.size() && src[i + 1] == '-') {
-      push(TokenKind::kIf, ":-", 2);
+    if (c == '%') {  // comment to end of line; the '\n' is scanned above
+      while (pos_ < n && src_[pos_] != '\n') ++pos_;
       continue;
     }
-    if (c == '?' && i + 1 < src.size() && src[i + 1] == '-') {
-      push(TokenKind::kQuery, "?-", 2);
-      continue;
-    }
-    if (c == '<' || c == '>') {
-      if (i + 1 < src.size() && src[i + 1] == '=') {
-        push(TokenKind::kCompare, std::string(1, c) + "=", 2);
-      } else {
-        push(TokenKind::kCompare, std::string(1, c), 1);
-      }
-      continue;
-    }
-    if (c == '=') {
-      push(TokenKind::kCompare, "=", 1);
-      continue;
-    }
-    if (c == '!' && i + 1 < src.size() && src[i + 1] == '=') {
-      push(TokenKind::kCompare, "!=", 2);
-      continue;
-    }
-    if (c == '\'') {  // quoted constant
-      size_t j = i + 1;
-      while (j < src.size() && src[j] != '\'') ++j;
-      if (j >= src.size()) return error("unterminated quoted constant");
-      std::string text(src.substr(i + 1, j - i - 1));
-      push(TokenKind::kLowerIdent, std::move(text), j - i + 1);
-      continue;
-    }
-    if (IsIdentChar(c)) {
-      size_t j = i;
-      while (j < src.size() && IsIdentChar(src[j])) ++j;
-      std::string text(src.substr(i, j - i));
-      bool upper = std::isupper(static_cast<unsigned char>(c)) || c == '_';
-      push(upper ? TokenKind::kUpperIdent : TokenKind::kLowerIdent,
-           std::move(text), j - i);
-      continue;
-    }
-    return error(std::string("unexpected character '") + c + "'");
+    break;
   }
-  out.push_back(Token{TokenKind::kEof, "", line, col});
-  return out;
+  Token tok{TokenKind::kEof, {}, line_, col()};
+  if (pos_ >= n) return tok;
+
+  const size_t start = pos_;
+  const char c = src_[pos_];
+  const char c1 = pos_ + 1 < n ? src_[pos_ + 1] : '\0';
+  size_t len = 1;
+  switch (c) {
+    case '(':
+      tok.kind = TokenKind::kLParen;
+      break;
+    case ')':
+      tok.kind = TokenKind::kRParen;
+      break;
+    case ',':
+      tok.kind = TokenKind::kComma;
+      break;
+    case '.':
+      tok.kind = TokenKind::kPeriod;
+      break;
+    case '=':
+      tok.kind = TokenKind::kCompare;
+      break;
+    case '<':
+    case '>':
+      tok.kind = TokenKind::kCompare;
+      if (c1 == '=') len = 2;
+      break;
+    case ':':
+    case '?':
+    case '!': {
+      if (c1 != (c == '!' ? '=' : '-')) {
+        return Fail(std::string("unexpected character '") + c + "'");
+      }
+      tok.kind = c == ':'   ? TokenKind::kIf
+                 : c == '?' ? TokenKind::kQuery
+                            : TokenKind::kCompare;
+      len = 2;
+      break;
+    }
+    case '\'': {  // quoted constant; may span lines
+      size_t j = pos_ + 1;
+      while (j < n && src_[j] != '\'') ++j;
+      if (j >= n) return Fail("unterminated quoted constant");
+      tok.kind = TokenKind::kLowerIdent;
+      tok.text = src_.substr(pos_ + 1, j - pos_ - 1);
+      for (size_t k = pos_ + 1; k < j; ++k) {
+        if (src_[k] == '\n') {
+          ++line_;
+          line_start_ = k + 1;
+        }
+      }
+      pos_ = j + 1;
+      return tok;
+    }
+    default: {
+      const uint8_t cls = ClassOf(c);
+      if (!(cls & kIdentChar)) {
+        return Fail(std::string("unexpected character '") + c + "'");
+      }
+      while (start + len < n && (ClassOf(src_[start + len]) & kIdentChar)) {
+        ++len;
+      }
+      tok.kind = (cls & kUpperStart) ? TokenKind::kUpperIdent
+                                     : TokenKind::kLowerIdent;
+      break;
+    }
+  }
+  tok.text = src_.substr(start, len);
+  pos_ = start + len;
+  return tok;
+}
+
+Status Lexer::Drain() {
+  while (Next().kind != TokenKind::kEof) {
+  }
+  return status_;
 }
 
 }  // namespace binchain

@@ -3,7 +3,13 @@
 namespace binchain {
 
 std::string TermToString(const Term& t, const SymbolTable& symbols) {
-  return symbols.Name(t.symbol);
+  const std::string& name = symbols.Name(t.symbol);
+  // Anonymous variables print as written, so the output re-parses.
+  if (t.IsVar() && name.compare(0, kAnonymousVarPrefix.size(),
+                                kAnonymousVarPrefix) == 0) {
+    return "_";
+  }
+  return name;
 }
 
 std::string LiteralToString(const Literal& lit, const SymbolTable& symbols) {

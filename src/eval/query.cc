@@ -1,6 +1,7 @@
 #include "eval/query.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "datalog/parser.h"
 #include "eval/answer_sink.h"
@@ -64,21 +65,44 @@ class ShapingTermSink : public AnswerTermSink {
 }  // namespace
 
 void LoadFactsInto(Database& db, const std::vector<Literal>& facts) {
+  // Pass 1: each predicate's fact count, predicates in first-appearance
+  // order (the order relations are created in).
+  struct Target {
+    SymbolId pred;
+    size_t arity;
+    size_t facts;
+    Relation* rel;
+  };
+  std::vector<Target> targets;
+  std::unordered_map<SymbolId, size_t> target_of;
+  std::vector<size_t> fact_target;
+  fact_target.reserve(facts.size());
   for (const Literal& f : facts) {
-    Relation& rel = db.GetOrCreate(db.symbols().Name(f.predicate), f.arity());
-    Tuple t;
-    for (const Term& a : f.args) t.push_back(a.symbol);
-    rel.Insert(t);
+    auto [it, fresh] = target_of.try_emplace(f.predicate, targets.size());
+    if (fresh) targets.push_back(Target{f.predicate, f.arity(), 0, nullptr});
+    ++targets[it->second].facts;
+    fact_target.push_back(it->second);
+  }
+  // One name lookup per relation, sized once for all of its facts.
+  for (Target& t : targets) {
+    t.rel = &db.GetOrCreate(db.symbols().Name(t.pred), t.arity);
+    t.rel->Reserve(t.facts);
+  }
+  Tuple tuple;
+  for (size_t i = 0; i < facts.size(); ++i) {
+    Relation* rel = targets[fact_target[i]].rel;
+    BINCHAIN_CHECK(facts[i].arity() == rel->arity());  // as GetOrCreate
+    tuple.clear();
+    for (const Term& a : facts[i].args) tuple.push_back(a.symbol);
+    rel->Insert(tuple);
   }
 }
 
 Result<std::shared_ptr<const PreparedProgram>> PrepareProgram(
-    Database* db, Program program, bool compile_machines) {
+    Database* db, const Program& program, bool compile_machines) {
   auto plan = std::make_shared<PreparedProgram>();
-  plan->program = std::move(program);
-  LoadFactsInto(*db, plan->program.facts);
-  plan->program.facts.clear();
-  plan->program.queries.clear();
+  plan->program.rules = program.rules;
+  LoadFactsInto(*db, program.facts);
   auto transformed = TransformToEquations(plan->program, db->symbols());
   if (!transformed.ok()) return transformed.status();
   plan->lemma1 = transformed.take();

@@ -34,7 +34,9 @@ struct QueryAnswer {
 };
 
 /// Inserts ground facts into their (created-on-demand) relations. Shared by
-/// QueryEngine::LoadProgram, the query service, and the CLI drivers.
+/// QueryEngine::LoadProgram, the query service, and the CLI drivers. Each
+/// predicate's relation is resolved once and reserved for all of its
+/// facts; relations are created in first-appearance order.
 void LoadFactsInto(Database& db, const std::vector<Literal>& facts);
 
 /// Everything derived from the *program* alone — the Lemma 1 equation
@@ -55,10 +57,10 @@ struct PreparedProgram {
 /// Loads `program`'s facts into `db`, transforms the rules (Lemma 1 plus
 /// the inverted system), and — with `compile_machines` — compiles M(e_p)
 /// for every predicate of both systems. Interns symbols, so call while the
-/// database still accepts them (pre-Freeze). Takes the program by value:
-/// std::move it in to avoid copying a fact-heavy program.
+/// database still accepts them (pre-Freeze). Facts load straight from
+/// `program`; only the rules are copied into the plan.
 Result<std::shared_ptr<const PreparedProgram>> PrepareProgram(
-    Database* db, Program program, bool compile_machines);
+    Database* db, const Program& program, bool compile_machines);
 
 class QueryEngine {
  public:

@@ -503,9 +503,7 @@ bool QueryService::Init(const Program& program, const Options& options) {
       return false;
     }
   }
-  Program prog = program;
-  prog.queries.clear();
-  if (!prog.facts.empty() && db_->frozen()) {
+  if (!program.facts.empty() && db_->frozen()) {
     init_status_ = Status::FailedPrecondition(
         "cannot load program facts into a frozen database");
     return false;
@@ -532,7 +530,7 @@ bool QueryService::Init(const Program& program, const Options& options) {
   // both equation systems (interning symbols as needed). Workers then
   // share the immutable plan — their construction is view registration
   // only, so startup cost stays flat as threads grow.
-  auto plan = PrepareProgram(db_, std::move(prog), /*compile_machines=*/true);
+  auto plan = PrepareProgram(db_, program, /*compile_machines=*/true);
   if (!plan.ok()) {
     init_status_ = plan.status();
     return false;

@@ -28,55 +28,50 @@ std::unique_ptr<Database> Database::BeginDelta(
 
   // Share every relation; copy-on-write happens on first insert.
   next->relations_ = base->relations_;
-  next->by_id_ = base->by_id_;
   next->names_ = base->names_;
-  for (const std::string& name : next->names_) next->borrowed_.insert(name);
+  for (const auto& [id, rel] : next->relations_) next->borrowed_.insert(id);
   return next;
 }
 
-Relation* Database::MutableRelation(const std::string& name) {
-  auto it = relations_.find(name);
+Relation* Database::MutableRelation(SymbolId pred) {
+  auto it = relations_.find(pred);
   if (it == relations_.end()) return nullptr;
-  if (borrowed_.erase(name) > 0) {
+  if (borrowed_.erase(pred) > 0) {
     BINCHAIN_CHECK(!frozen_);
     it->second = Relation::Extend(it->second);
-    auto id = symbols_->Find(name);
-    BINCHAIN_CHECK(id.has_value());
-    by_id_[*id] = it->second.get();
   }
   return it->second.get();
 }
 
 Relation& Database::GetOrCreate(std::string_view pred, size_t arity) {
-  std::string key(pred);
-  auto it = relations_.find(key);
-  if (it != relations_.end()) {
-    BINCHAIN_CHECK(it->second->arity() == arity);
-    return *MutableRelation(key);
+  if (auto id = symbols_->Find(pred)) {
+    if (Relation* rel = MutableRelation(*id)) {
+      BINCHAIN_CHECK(rel->arity() == arity);
+      return *rel;
+    }
   }
   BINCHAIN_CHECK(!frozen_);
   auto rel = std::make_shared<Relation>(arity);
   Relation& ref = *rel;
-  relations_.emplace(key, std::move(rel));
-  by_id_.emplace(symbols_->Intern(pred), &ref);
-  names_.push_back(key);
+  relations_.emplace(symbols_->Intern(pred), std::move(rel));
+  names_.emplace_back(pred);
   return ref;
 }
 
 const Relation* Database::Find(std::string_view pred) const {
-  auto it = relations_.find(std::string(pred));
-  return it == relations_.end() ? nullptr : it->second.get();
+  auto id = symbols_->Find(pred);
+  return id ? FindById(*id) : nullptr;
 }
 
 std::shared_ptr<const Relation> Database::FindSharedById(
     SymbolId pred) const {
-  if (by_id_.find(pred) == by_id_.end()) return nullptr;
-  auto it = relations_.find(symbols_->Name(pred));
+  auto it = relations_.find(pred);
   return it == relations_.end() ? nullptr : it->second;
 }
 
 Relation* Database::FindMutable(std::string_view pred) {
-  return MutableRelation(std::string(pred));
+  auto id = symbols_->Find(pred);
+  return id ? MutableRelation(*id) : nullptr;
 }
 
 bool Database::AddFact(std::string_view pred,
@@ -136,7 +131,7 @@ void Database::Freeze() {
   // what this epoch owns keeps Freeze O(delta) and, just as important,
   // write-free on storage that concurrent readers of older epochs hold.
   if (!symbols_->frozen()) symbols_->Freeze();
-  for (auto& [name, rel] : relations_) {
+  for (auto& [id, rel] : relations_) {
     if (!rel->frozen()) rel->Freeze();
   }
   frozen_ = true;
@@ -149,16 +144,16 @@ void Database::Thaw() {
   // Borrowed layers belong to older epochs that may still be serving —
   // that goes for a re-shared symbol table exactly as for relations.
   if (!symbols_borrowed_) symbols_->Thaw();
-  for (auto& [name, rel] : relations_) {
-    if (borrowed_.count(name) == 0) rel->Thaw();
+  for (auto& [id, rel] : relations_) {
+    if (borrowed_.count(id) == 0) rel->Thaw();
   }
   frozen_ = false;
 }
 
 void Database::PruneEmptyDeltas() {
   BINCHAIN_CHECK(!frozen_);
-  for (auto& [name, rel] : relations_) {
-    if (borrowed_.count(name) > 0) continue;
+  for (auto& [id, rel] : relations_) {
+    if (borrowed_.count(id) > 0) continue;
     // A layer that inserted nothing but *edited tombstones* is not empty —
     // its dead-set delta is the change — so the prune additionally requires
     // the mutation counter to match the base's. (Counting mutations, not
@@ -169,10 +164,7 @@ void Database::PruneEmptyDeltas() {
       // Frozen base layers are immutable; re-sharing one as this epoch's
       // relation is read-only from here on (borrowed_ guards mutation).
       rel = std::const_pointer_cast<Relation>(rel->base());
-      auto id = symbols_->Find(name);
-      BINCHAIN_CHECK(id.has_value());
-      by_id_[*id] = rel.get();
-      borrowed_.insert(name);
+      borrowed_.insert(id);
     }
   }
   if (symbols_->local_size() == 0 && symbols_->base() != nullptr) {
@@ -183,12 +175,12 @@ void Database::PruneEmptyDeltas() {
 
 uint64_t Database::TotalFetches() const {
   uint64_t total = 0;
-  for (const auto& [name, rel] : relations_) total += rel->fetch_count();
+  for (const auto& [id, rel] : relations_) total += rel->fetch_count();
   return total;
 }
 
 void Database::ResetFetches() {
-  for (auto& [name, rel] : relations_) rel->ResetFetchCount();
+  for (auto& [id, rel] : relations_) rel->ResetFetchCount();
 }
 
 }  // namespace binchain

@@ -110,8 +110,8 @@ class Database {
   /// the per-lookup string round-trip of Find(symbols().Name(pred)) — the
   /// form every evaluation-strategy resolver is on.
   const Relation* FindById(SymbolId pred) const {
-    auto it = by_id_.find(pred);
-    return it == by_id_.end() ? nullptr : it->second;
+    auto it = relations_.find(pred);
+    return it == relations_.end() ? nullptr : it->second.get();
   }
 
   /// Like FindById, but returns the owning handle, so a caller can pin the
@@ -156,7 +156,8 @@ class Database {
   /// True if `pred` is still the base epoch's relation object (shared, not
   /// yet copied-on-write). Introspection for the epoch publisher's stats.
   bool SharesWithBase(std::string_view pred) const {
-    return borrowed_.count(std::string(pred)) > 0;
+    auto id = symbols_->Find(pred);
+    return id.has_value() && borrowed_.count(*id) > 0;
   }
 
   /// Symbol-layer compaction policy for BeginDelta, mirroring
@@ -167,17 +168,20 @@ class Database {
   static constexpr size_t kFlattenMinSymbols = 256;
 
  private:
-  /// Copy-on-write step: if `name` is still shared with the base epoch,
-  /// replace it with a delta layer owned by this epoch.
-  Relation* MutableRelation(const std::string& name);
+  /// Copy-on-write step: if relation `pred` is still shared with the base
+  /// epoch, replace it with a delta layer owned by this epoch. nullptr if
+  /// there is no such relation.
+  Relation* MutableRelation(SymbolId pred);
 
   std::shared_ptr<SymbolTable> symbols_;
-  std::unordered_map<std::string, std::shared_ptr<Relation>> relations_;
-  std::unordered_map<SymbolId, Relation*> by_id_;
+  /// Relations keyed by the symbol id of their name. Ids are stable across
+  /// epochs (symbol layers extend one id space), so BeginDelta shares the
+  /// map as is.
+  std::unordered_map<SymbolId, std::shared_ptr<Relation>> relations_;
   std::vector<std::string> names_;
   /// Relations inherited from the base epoch and not yet copied-on-write.
   /// Frozen; must not be mutated or thawed through this database.
-  std::unordered_set<std::string> borrowed_;
+  std::unordered_set<SymbolId> borrowed_;
   /// Set when PruneEmptyDeltas re-shared the base epoch's symbol table;
   /// Thaw() must then leave it frozen (older epochs still read it).
   bool symbols_borrowed_ = false;

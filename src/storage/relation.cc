@@ -11,6 +11,15 @@ uint64_t HashSpan(const SymbolId* d, size_t n) {
   return TupleHash{}(TupleRef(d, n));
 }
 
+/// Capacity for an open-addressed table that must hold `entries` below the
+/// 0.7 load bound: a power of two, at least 16 and at least twice
+/// `current` (growth stays geometric however callers size it).
+size_t TableCapacity(size_t current, size_t entries) {
+  size_t cap = std::max<size_t>(16, current * 2);
+  while (entries * 10 >= cap * 7) cap *= 2;
+  return cap;
+}
+
 }  // namespace
 
 uint64_t Relation::HashMasked(uint32_t mask, const SymbolId* t) const {
@@ -33,8 +42,8 @@ bool Relation::MaskedEquals(uint32_t mask, uint32_t row,
   return true;
 }
 
-void Relation::DedupGrow() {
-  size_t cap = dedup_.empty() ? 16 : dedup_.size() * 2;
+void Relation::DedupGrow(size_t rows) {
+  size_t cap = TableCapacity(dedup_.size(), rows);
   dedup_.assign(cap, kNoRow);
   dedup_used_ = 0;
   size_t m = cap - 1;
@@ -70,7 +79,7 @@ std::shared_ptr<Relation> Relation::Extend(
 
 std::shared_ptr<Relation> Relation::Flatten() const {
   auto out = std::make_shared<Relation>(arity_);
-  out->arena_.reserve(live_size() * arity_);
+  out->Reserve(live_size());
   // Global row order in, dense row ids out (no duplicates exist in a
   // chain, so Insert never rejects). tuples() skips tombstoned rows, so
   // flattening is also the compaction that drops dead rows for good — the
@@ -119,7 +128,9 @@ bool Relation::Insert(TupleRef t) {
       return false;
     }
   }
-  if ((dedup_used_ + 1) * 10 >= dedup_.size() * 7) DedupGrow();
+  if ((dedup_used_ + 1) * 10 >= dedup_.size() * 7) {
+    DedupGrow(dedup_used_ + 1);
+  }
   size_t m = dedup_.size() - 1;
   for (size_t i = HashSpan(t.data(), arity_) & m;; i = (i + 1) & m) {
     uint32_t r = dedup_[i];
@@ -150,6 +161,15 @@ bool Relation::Insert(TupleRef t) {
       return false;
     }
   }
+}
+
+void Relation::Reserve(size_t rows) {
+  BINCHAIN_CHECK(!frozen_);
+  const size_t want = num_rows_ + rows;
+  if (arena_.capacity() < want * arity_) {
+    arena_.reserve(std::max(want * arity_, arena_.capacity() * 2));
+  }
+  if (want * 10 >= dedup_.size() * 7) DedupGrow(want);
 }
 
 bool Relation::Delete(TupleRef t) {
@@ -184,8 +204,9 @@ bool Relation::Contains(TupleRef t) const {
   return dead_ == nullptr || dead_->count(row) == 0;
 }
 
-void Relation::IndexGrow(MaskIndex& idx, size_t rows_done) const {
-  size_t cap = idx.slots.empty() ? 16 : idx.slots.size() * 2;
+void Relation::IndexGrow(MaskIndex& idx, size_t rows_done,
+                         size_t keys) const {
+  size_t cap = TableCapacity(idx.slots.size(), keys);
   idx.slots.assign(cap, kNoRow);
   idx.tails.assign(cap, kNoRow);
   idx.used = 0;
@@ -247,11 +268,17 @@ Relation::MaskIndex& Relation::IndexFor(uint32_t mask) const {
     idx = &indexes_.back();
     idx->mask = mask;
   }
-  // Absorb rows appended since the index was last touched.
+  // Absorb rows appended since the index was last touched. Each row adds
+  // at most one key, so the table is sized once for the whole batch and
+  // the rows then thread in ascending order, keeping every chain in
+  // insertion order.
   if (idx->indexed_upto < num_rows_) {
     idx->next.resize(num_rows_, kNoRow);
+    const size_t keys = idx->used + (num_rows_ - idx->indexed_upto);
+    if (keys * 10 >= idx->slots.size() * 7) {
+      IndexGrow(*idx, idx->indexed_upto, keys);
+    }
     for (size_t r = idx->indexed_upto; r < num_rows_; ++r) {
-      if ((idx->used + 1) * 10 >= idx->slots.size() * 7) IndexGrow(*idx, r);
       IndexInsert(*idx, static_cast<uint32_t>(r));
     }
     idx->indexed_upto = num_rows_;

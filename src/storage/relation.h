@@ -275,6 +275,12 @@ class Relation {
   /// Aborts after Freeze().
   bool Insert(TupleRef t);
 
+  /// Sizes the arena and the dedup table so the next `rows` inserts append
+  /// without regrowth (bulk loads know their row count up front). Growth
+  /// stays geometric, so interleaved small reservations remain amortized
+  /// O(1) per row. Aborts after Freeze().
+  void Reserve(size_t rows);
+
   /// Tombstones `t`'s row in this layer's dead set; returns true if the
   /// tuple was present and live (false: absent, or already tombstoned).
   /// The arena, the dedup table and every index are untouched — readers
@@ -485,10 +491,13 @@ class Relation {
 
   MaskIndex& IndexFor(uint32_t mask) const;
   void IndexInsert(MaskIndex& idx, uint32_t row) const;
-  void IndexGrow(MaskIndex& idx, size_t rows_done) const;
+  /// Rehashes `idx` to hold `keys` distinct keys and re-threads its first
+  /// `rows_done` rows.
+  void IndexGrow(MaskIndex& idx, size_t rows_done, size_t keys) const;
   uint32_t FindHead(const MaskIndex& idx, uint32_t mask, TupleRef key) const;
 
-  void DedupGrow();
+  /// Rehashes the dedup table to hold `rows` rows.
+  void DedupGrow(size_t rows);
 
   size_t arity_;
   size_t num_rows_ = 0;              // local rows (this layer's arena)

@@ -9,7 +9,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 namespace binchain {
@@ -79,11 +78,27 @@ class SymbolTable {
   size_t size() const { return base_size_ + names_.size(); }
 
  private:
+  /// One slot of the spelling index: a local symbol and its spelling's
+  /// hash (kept so growth never rehashes a string, and most probes that
+  /// miss skip the string compare).
+  struct Slot {
+    SymbolId id;
+    uint32_t hash;
+  };
+  static constexpr SymbolId kEmpty = 0xffffffffu;
+
+  /// Find() with the spelling's hash `h` computed once for every layer.
+  std::optional<SymbolId> FindHashed(std::string_view s, uint32_t h) const;
+  void GrowIndex();
+
   std::shared_ptr<const SymbolTable> base_;  // frozen; null for standalone
   SymbolId base_size_ = 0;
   std::vector<std::string> names_;
   std::vector<std::optional<int64_t>> ints_;
-  std::unordered_map<std::string, SymbolId> index_;  // spelling -> global id
+  /// Open-addressed spelling -> global id index over this layer's symbols
+  /// (linear probing, power-of-two size, load <= 1/2). Lookups hash a
+  /// string_view, so no probe builds a temporary string.
+  std::vector<Slot> index_;
   bool frozen_ = false;
 };
 

@@ -47,12 +47,27 @@ TEST(ParserTest, InfixComparisonsBecomeLiterals) {
   EXPECT_EQ(symbols.Name(p.rules[0].body[2].predicate), "!=");
 }
 
+// Each `_` is a fresh variable that no user variable can capture, whatever
+// the user names it (`_G0`, `_0`).
 TEST(ParserTest, AnonymousVariablesAreFresh) {
   SymbolTable symbols;
-  Program p = MustParse("r(X) :- b(X, _), c(_, X).\n", symbols);
-  SymbolId v1 = p.rules[0].body[0].args[1].symbol;
-  SymbolId v2 = p.rules[0].body[1].args[0].symbol;
-  EXPECT_NE(v1, v2);
+  Program p = MustParse("r(X) :- b(X, _), c(_G0, X), d(_0, _).\n", symbols);
+  const Rule& r = p.rules[0];
+  SymbolId anon1 = r.body[0].args[1].symbol;
+  SymbolId user_g0 = r.body[1].args[0].symbol;
+  SymbolId user_0 = r.body[2].args[0].symbol;
+  SymbolId anon2 = r.body[2].args[1].symbol;
+  EXPECT_NE(anon1, anon2);
+  EXPECT_NE(anon1, user_g0);
+  EXPECT_NE(anon2, user_g0);
+  EXPECT_NE(anon1, user_0);
+  EXPECT_EQ(symbols.Name(user_g0), "_G0");
+  // Anonymous variables print as `_`, so the rendering re-parses to an
+  // equivalent rule.
+  std::string text = ProgramToString(p, symbols);
+  EXPECT_EQ(text, "r(X) :- b(X, _), c(_G0, X), d(_0, _).\n");
+  Program p2 = MustParse(text, symbols);
+  EXPECT_EQ(ProgramToString(p2, symbols), text);
 }
 
 TEST(ParserTest, CommentsAreIgnored) {
@@ -73,6 +88,76 @@ TEST(ParserTest, ReportsErrorsWithPosition) {
   auto r = ParseProgram("p(X :- q(X).\n", symbols);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("1:"), std::string::npos);
+}
+
+// Exact messages, positions included. Columns count bytes from 1 ('\r'
+// and the characters of a quoted constant included); lines advance on
+// '\n' only, inside quoted constants too. When the input holds a lex
+// error anywhere, the first lex error wins over any parse error.
+TEST(ParserTest, ErrorMessagesArePinned) {
+  struct Case {
+    const char* src;
+    const char* msg;
+  };
+  const Case cases[] = {
+      // Lines after the first.
+      {"a(x).\nb(y).\n  c(z) :- d(z\n.\n",
+       "parse error at 4:1: unexpected token '.'"},
+      {"a(x).\nq(b) :- r(b), $.\n",
+       "lex error at 2:15: unexpected character '$'"},
+      {"p(X) :- q(X) r.\n", "parse error at 1:14: unexpected token 'r'"},
+      {"?- q(X)\n", "parse error at 2:1: unexpected token ''"},
+      {"p(a", "parse error at 1:4: unexpected token ''"},
+      // After % comments.
+      {"% header line\nr(a, b). % trailing\n  s(c d).\n",
+       "parse error at 3:7: unexpected token 'd'"},
+      {"% only a comment\n% another\n   @\n",
+       "lex error at 3:4: unexpected character '@'"},
+      // CRLF line endings: '\r' is whitespace occupying one column.
+      {"r(a, b).\r\ns(c, d).\r\n  t(e f).\r\n",
+       "parse error at 3:7: unexpected token 'f'"},
+      {"r(a, b).\r\n\r\n t(e, #).\r\n",
+       "lex error at 3:7: unexpected character '#'"},
+      // After a quoted constant spanning newlines.
+      {"p('multi\nline', x).\nq(y) z.\n",
+       "parse error at 3:6: unexpected token 'z'"},
+      {"p('two\nnew\nlines').  r(s) &\n",
+       "lex error at 3:16: unexpected character '&'"},
+      {"p('x\ny', Z) :- q(Z), 'lit\nx' < .\n",
+       "parse error at 3:6: expected a term, got '.'"},
+      {"p('open\nquote", "lex error at 1:3: unterminated quoted constant"},
+      // A lex error later in the input wins over an earlier parse error.
+      {"p(a) q(b).\n$", "lex error at 2:1: unexpected character '$'"},
+      {"p(a) :- q(a), !x.\n", "lex error at 1:15: unexpected character '!'"},
+      {"p(X) :- q(X), X.\n",
+       "parse error at 1:16: expected comparison operator"},
+      {"p(a) :- X < b c.\n", "parse error at 1:15: unexpected token 'c'"},
+      {"X(a).\n", "parse error at 1:1: expected a predicate name, got 'X'"},
+      {"p(a, ).\n", "parse error at 1:6: expected a term, got ')'"},
+  };
+  for (const Case& c : cases) {
+    SymbolTable symbols;
+    auto r = ParseProgram(c.src, symbols);
+    ASSERT_FALSE(r.ok()) << c.src;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << c.src;
+    EXPECT_EQ(r.status().message(), c.msg) << c.src;
+  }
+
+  const Case literal_cases[] = {
+      {"sg(a, Y) extra", "parse error at 1:10: trailing input after literal"},
+      {"sg(a,\n Y", "parse error at 2:3: unexpected token ''"},
+      {"sg(a, Y).", "parse error at 1:9: trailing input after literal"},
+      {"", "parse error at 1:1: expected a predicate name, got ''"},
+      {"sg(a, 'q\nr') %\n)",
+       "parse error at 3:1: trailing input after literal"},
+      {"sg(a ?", "lex error at 1:6: unexpected character '?'"},
+  };
+  for (const Case& c : literal_cases) {
+    SymbolTable symbols;
+    auto r = ParseLiteral(c.src, symbols);
+    ASSERT_FALSE(r.ok()) << c.src;
+    EXPECT_EQ(r.status().message(), c.msg) << c.src;
+  }
 }
 
 TEST(ParserTest, RejectsUnterminatedQuote) {

@@ -54,6 +54,45 @@ TEST(RelationIndexTest, CatchUpAcrossManyInsertsForcesTableGrowth) {
   }
 }
 
+// A bulk catch-up sizes each mask table once for all N pending rows; a
+// row-by-row build grows it by doubling. Both must thread every chain in
+// insertion order, so every probe enumerates identically.
+TEST(RelationIndexTest, BulkCatchUpMatchesRowByRowBuild) {
+  constexpr size_t kRows = 3000;
+  Relation bulk(3);
+  Relation stepwise(3);
+  std::vector<Tuple> rows;
+  for (SymbolId i = 0; i < kRows; ++i) {
+    // Few distinct values per column, so chains get long and keys repeat.
+    rows.push_back(Tuple{i % 37, (i * 7) % 11, i});
+  }
+  bulk.Reserve(rows.size());
+  for (const Tuple& t : rows) ASSERT_TRUE(bulk.Insert(t));
+  for (const Tuple& t : rows) {
+    ASSERT_TRUE(stepwise.Insert(t));
+    // Touch every mask after each insert: a one-row catch-up each time.
+    for (uint32_t mask = 1; mask < 8; ++mask) Matches(stepwise, mask, t);
+  }
+  bulk.Freeze();  // one catch-up over all kRows rows per mask
+  stepwise.Freeze();
+
+  size_t probes = 0;
+  for (uint32_t mask = 1; mask < 8; ++mask) {
+    for (size_t i = 0; i < rows.size(); i += 13) {
+      std::vector<Tuple> got = Matches(bulk, mask, rows[i]);
+      ASSERT_EQ(got, Matches(stepwise, mask, rows[i])) << mask << " " << i;
+      ASSERT_FALSE(got.empty());
+      // Insertion order: the third column is the row's insertion index.
+      for (size_t k = 1; k < got.size(); ++k) {
+        ASSERT_LT(got[k - 1][2], got[k][2]) << mask << " " << i;
+      }
+      ++probes;
+    }
+  }
+  EXPECT_GT(probes, 0u);
+  EXPECT_TRUE(Matches(bulk, 0b001, Tuple{99, 0, 0}).empty());
+}
+
 TEST(RelationIndexTest, EmptyMaskIsFullScan) {
   Relation r(3);
   r.Insert({1, 2, 3});
