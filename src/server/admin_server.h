@@ -1,44 +1,30 @@
 // Admin-plane HTTP server: the process's observability socket.
 //
-// ROADMAP item 1 ("make it a server") splits naturally into two planes.
-// The *data* plane — streaming answers, rate limiting, retry-after — needs
-// design work (chunk sinks threaded through the engine). The *admin*
-// plane does not: every payload already exists as a string renderer
-// (RenderPrometheus, flight-recorder JSON, Chrome traces), so what is
-// missing is only a socket that speaks enough HTTP/1.1 for curl,
-// Prometheus, and kubelet-style probes. AdminServer is that socket, and
-// deliberately nothing more:
+// Every payload already exists as a string renderer (RenderPrometheus,
+// flight-recorder JSON, Chrome traces); AdminServer is only the socket
+// that speaks enough HTTP/1.1 for curl, Prometheus, and kubelet-style
+// probes, and deliberately nothing more:
 //
-//  * GET only, one request per connection (`Connection: close`), no
-//    keep-alive, no TLS, no chunked bodies. Scrapers and probes retry;
-//    none of them need connection reuse against a process-local port.
-//  * Dependency-free: POSIX sockets under a std::thread accept loop and
-//    a small handler pool. No event loop — handler concurrency equals
-//    pool size, which is plenty for scrape traffic and keeps slow
-//    clients from ever touching the query service's threads.
-//  * Defensive by construction: bounded request size (oversized heads are
-//    answered 431 and dropped), SO_RCVTIMEO/SO_SNDTIMEO on every accepted
-//    connection (a slowloris client times out and is closed, it cannot
-//    pin a handler forever), bounded hand-off queue (bursts past it are
-//    answered 503 by the accept thread itself).
+//  * GET only, one request per connection (`Connection: close`), no TLS,
+//    no chunked bodies. Scrapers and probes retry; none of them need
+//    connection reuse against a process-local port.
+//  * Connections run on HttpListener (http_common.h), the accept thread,
+//    bounded hand-off queue, handler pool and defensive limits (431 cap,
+//    slowloris timeouts, 503 shed) the data plane runs on too. Handler
+//    concurrency equals pool size, which is plenty for scrape traffic and
+//    keeps slow clients from ever touching the query service's threads.
 //
-// Routing is exact-match on the path (query params are parsed off and
-// handed to the handler). Handlers run on pool threads concurrently with
-// each other and with everything else in the process, so they must only
-// touch thread-safe state — the registry, the span rings and the service
-// accessors they serve all are.
+// AdminServer itself is the route table: exact-match on the path (query
+// params are parsed off and handed to the handler). Handlers run on pool
+// threads concurrently with each other and with everything else in the
+// process, so they must only touch thread-safe state — the registry, the
+// span rings and the service accessors they serve all are.
 #ifndef BINCHAIN_SERVER_ADMIN_SERVER_H_
 #define BINCHAIN_SERVER_ADMIN_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <map>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "server/http_common.h"
 #include "util/status.h"
@@ -76,8 +62,6 @@ struct AdminServerOptions {
 class AdminServer {
  public:
   explicit AdminServer(AdminServerOptions options = {});
-  /// Stops and joins if still running.
-  ~AdminServer();
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
 
@@ -87,51 +71,33 @@ class AdminServer {
 
   /// Binds, listens, and launches the accept + handler threads. On OK the
   /// socket is live and port() reports the bound port.
-  Status Start();
+  Status Start() { return listener_.Start(); }
 
   /// Shuts the listener down and joins every thread. In-flight responses
   /// finish; queued-but-unserved connections are closed. Idempotent.
-  void Stop();
+  void Stop() { listener_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
   /// The bound port (resolves option port 0 to the kernel's pick); 0
   /// before a successful Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Requests answered, by outcome. `errors` counts every non-2xx plus
-  /// dropped connections (timeout, oversized, parse failure).
-  uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t request_errors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
+  /// dropped connections (timeout or cut mid-head, oversized, parse
+  /// failure, shed); a connection closed before its first byte is not one.
+  uint64_t requests_served() const { return listener_.requests_served(); }
+  uint64_t request_errors() const { return listener_.request_errors(); }
 
  private:
-  void AcceptLoop();
-  void HandlerLoop();
-  /// Reads, parses, dispatches and answers one connection, then closes it.
-  void ServeConnection(int fd);
-  /// Best-effort write of a full response; counts into the atomics.
+  /// Routes and answers one request; always ends the connection.
+  bool Serve(int fd, const HttpRequest& req);
+  /// Best-effort write of a full response; counts into the listener.
   void WriteResponse(int fd, const HttpResponse& resp);
 
-  const AdminServerOptions options_;
   std::map<std::string, HttpHandler> handlers_;  // frozen at Start()
-
-  /// Atomic: Stop() swaps it to -1 (then shuts the socket down) while the
-  /// accept loop is still blocked reading it for the next accept(2).
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> handler_threads_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> conn_queue_;  // accepted fds awaiting a handler
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
+  /// Last member: destroyed (stopped, handlers joined) before the route
+  /// table its handler threads read.
+  HttpListener listener_;
 };
 
 }  // namespace server

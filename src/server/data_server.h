@@ -31,22 +31,17 @@
 //    later fails — the terminal status travels in the trailer, because
 //    the HTTP status line has already been sent by then.
 //
-// Threading mirrors AdminServer: a std::thread accept loop hands
-// connections to a small handler pool over a bounded queue. A handler
-// blocks on its query's chunks, so handler_threads bounds concurrent
-// HTTP-driven evaluations — set it below the service's worker count to
-// keep in-process callers from starving.
+// Connections run on HttpListener (http_common.h), the one accept thread,
+// bounded hand-off queue, handler pool and request-head reader both planes
+// share; DataServer adds the body read, admission, submission and
+// streaming. A handler blocks on its query's chunks, so handler_threads
+// bounds concurrent HTTP-driven evaluations — set it below the service's
+// worker count to keep in-process callers from starving.
 #ifndef BINCHAIN_SERVER_DATA_SERVER_H_
 #define BINCHAIN_SERVER_DATA_SERVER_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "server/http_common.h"
 #include "server/rate_limiter.h"
@@ -108,38 +103,28 @@ class DataServer {
   /// `service` is borrowed and must outlive the server (Stop() joins every
   /// handler before returning, so no request outlives either).
   explicit DataServer(QueryService* service, DataServerOptions options = {});
-  ~DataServer();
   DataServer(const DataServer&) = delete;
   DataServer& operator=(const DataServer&) = delete;
 
   /// Binds, listens, and launches the accept + handler threads.
-  Status Start();
+  Status Start() { return listener_.Start(); }
   /// Shuts the listener down and joins every thread. In-flight streams
   /// finish (their queries complete or get cancelled by client drop);
+  /// idle keep-alive connections are woken and closed, and
   /// queued-but-unserved connections are closed. Idempotent.
-  void Stop();
+  void Stop() { listener_.Stop(); }
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return listener_.running(); }
   /// The bound port (resolves option port 0); 0 before a successful Start().
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
-  uint64_t requests_served() const {
-    return requests_.load(std::memory_order_relaxed);
-  }
-  uint64_t request_errors() const {
-    return errors_.load(std::memory_order_relaxed);
-  }
+  uint64_t requests_served() const { return listener_.requests_served(); }
+  uint64_t request_errors() const { return listener_.request_errors(); }
 
  private:
-  void AcceptLoop();
-  void HandlerLoop();
-  /// Serves up to max_requests_per_connection requests on one connection,
-  /// then closes it. Returns when the client hangs up, errors, or asks
-  /// `Connection: close`.
-  void ServeConnection(int fd);
-  /// One request/response exchange. Returns whether the connection is
-  /// still healthy enough for another request.
-  bool ServeOne(int fd, const std::string& peer, std::string* carry);
+  /// Routes one request head, reads its body, and answers it. Returns
+  /// whether the connection is still healthy enough for another request.
+  bool Serve(HttpConnection* conn, HttpRequest* req, bool keep_alive);
   /// Parses, admits, submits, and streams (or buffers) one query.
   bool HandleQuery(int fd, const HttpRequest& req, const std::string& peer,
                    bool keep_alive);
@@ -148,19 +133,6 @@ class DataServer {
   QueryService* const service_;
   RateLimiter limiter_;       // per (peer, client_id) identity buckets
   RateLimiter peer_limiter_;  // per-peer aggregate layer, charged first
-
-  std::atomic<int> listen_fd_{-1};
-  uint16_t port_ = 0;
-  std::atomic<bool> running_{false};
-  std::thread accept_thread_;
-  std::vector<std::thread> handler_threads_;
-
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<int> conn_queue_;  // accepted fds awaiting a handler
-
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> errors_{0};
 
   /// binchain_dataplane_* instruments, registered at construction.
   obs::Counter* m_requests_;
@@ -172,6 +144,10 @@ class DataServer {
   obs::Gauge* m_active_connections_;
   obs::Histogram* m_request_ms_;
   obs::Histogram* m_first_chunk_ms_;
+
+  /// Last member: destroyed (stopped, handlers joined) before anything its
+  /// handler threads use.
+  HttpListener listener_;
 };
 
 }  // namespace server

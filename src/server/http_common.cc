@@ -5,9 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
+#include <utility>
 
 namespace binchain {
 namespace server {
@@ -143,7 +146,13 @@ bool SendAll(int fd, const char* data, size_t n) {
   return true;
 }
 
-void SendBareStatus(int fd, int status, int retry_after_s) {
+namespace {
+
+/// Plain fixed response for connections no request callback answers
+/// (accept-queue overflow, oversized heads, parse failures, rejections).
+/// Always closes the HTTP exchange; a positive retry_after_s adds the
+/// back-off header (503 sheds).
+void SendBareStatus(int fd, int status, int retry_after_s = 0) {
   std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
                      ReasonPhrase(status) + "\r\nContent-Length: 0\r\n";
   if (retry_after_s > 0) {
@@ -153,6 +162,10 @@ void SendBareStatus(int fd, int status, int retry_after_s) {
   SendAll(fd, head.data(), head.size());
 }
 
+/// socket/bind/listen: binds `bind_address:port` (port 0 picks an
+/// ephemeral port), listens with `backlog`, and reports the resolved port
+/// through *bound_port. Returns the listening fd, or a Status naming the
+/// step that failed (the fd is closed on every failure path).
 Result<int> OpenListenSocket(const std::string& bind_address, uint16_t port,
                              int backlog, uint16_t* bound_port) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
@@ -190,6 +203,210 @@ Result<int> OpenListenSocket(const std::string& bind_address, uint16_t port,
   }
   *bound_port = ntohs(bound.sin_port);
   return fd;
+}
+
+/// How long the accept loop waits before retrying when the process (or
+/// the system) is out of descriptors or socket buffers.
+constexpr auto kAcceptBackoff = std::chrono::milliseconds(10);
+
+}  // namespace
+
+HttpListener::HttpListener(HttpListenerOptions options,
+                           HttpRequestCallback on_request,
+                           HttpListenerHooks hooks)
+    : options_(std::move(options)),
+      on_request_(std::move(on_request)),
+      hooks_(std::move(hooks)) {}
+
+HttpListener::~HttpListener() { Stop(); }
+
+Status HttpListener::Start() {
+  if (running()) return Status::FailedPrecondition("listener already running");
+  Result<int> opened = OpenListenSocket(options_.bind_address, options_.port,
+                                        options_.accept_backlog, &port_);
+  if (!opened.ok()) return opened.status();
+  listen_fd_.store(opened.value(), std::memory_order_release);
+
+  running_.store(true, std::memory_order_release);
+  accept_thread_ = std::thread([this] { AcceptLoop(); });
+  size_t n = std::max<size_t>(options_.handler_threads, 1);
+  handler_threads_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    handler_threads_.emplace_back([this] { HandlerLoop(); });
+  }
+  return Status::Ok();
+}
+
+void HttpListener::Stop() {
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  // Take the socket before shutting it down: the accept loop exits only
+  // once the fd is gone, so the error shutdown provokes ends it.
+  int fd = listen_fd_.exchange(-1, std::memory_order_acq_rel);
+  if (fd >= 0) {
+    shutdown(fd, SHUT_RDWR);
+    close(fd);
+  }
+  {
+    // A handler parked in recv on an idle connection would otherwise
+    // hold Stop() for a whole io_timeout_ms. SHUT_RD ends the read side
+    // only: a response still being written goes out in full.
+    std::lock_guard<std::mutex> lock(mu_);
+    for (int held : held_) shutdown(held, SHUT_RD);
+  }
+  cv_.notify_all();
+  if (accept_thread_.joinable()) accept_thread_.join();
+  for (std::thread& t : handler_threads_) t.join();
+  handler_threads_.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int queued : queue_) close(queued);
+  queue_.clear();
+  port_ = 0;
+}
+
+void HttpListener::CountError() {
+  errors_.fetch_add(1, std::memory_order_relaxed);
+  if (hooks_.on_error) hooks_.on_error();
+}
+
+bool HttpListener::Reject(int fd, int status) {
+  CountError();
+  SendBareStatus(fd, status);
+  return false;
+}
+
+void HttpListener::AcceptLoop() {
+  for (;;) {
+    int listen_fd = listen_fd_.load(std::memory_order_acquire);
+    if (listen_fd < 0) return;  // Stop() took the socket away
+    int fd = accept(listen_fd, nullptr, nullptr);
+    if (fd < 0) {
+      // Only Stop() ends the loop. ECONNABORTED is one client leaving
+      // early; out of descriptors (EMFILE, ENFILE) or buffers, the
+      // connection waits in the backlog while a handler frees one.
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (listen_fd_.load(std::memory_order_acquire) < 0) return;
+      std::this_thread::sleep_for(kAcceptBackoff);
+      continue;
+    }
+    // Slowloris guard: every read and write on this connection gets the
+    // configured timeout. A stalled client errors out of recv/send and
+    // the handler drops it — it cannot pin a pool thread indefinitely.
+    timeval tv{};
+    tv.tv_sec = options_.io_timeout_ms / 1000;
+    tv.tv_usec = (options_.io_timeout_ms % 1000) * 1000;
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+
+    bool enqueued = false;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (queue_.size() < options_.queue_capacity) {
+        queue_.push_back(fd);
+        enqueued = true;
+      }
+    }
+    if (enqueued) {
+      cv_.notify_one();
+    } else {
+      // Burst past the hand-off queue: shed on the accept thread itself,
+      // mirroring the query service's kOverloaded admission control. The
+      // Retry-After says the overload is momentary — the queue drains in
+      // well under a second once the burst passes.
+      CountError();
+      SendBareStatus(fd, 503, /*retry_after_s=*/1);
+      close(fd);
+    }
+  }
+}
+
+void HttpListener::HandlerLoop() {
+  for (;;) {
+    int fd = -1;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      cv_.wait(lock, [this] { return !queue_.empty() || !running(); });
+      if (!running()) return;  // Stop() closes what is still queued
+      fd = queue_.front();
+      queue_.pop_front();
+      held_.push_back(fd);
+    }
+    if (hooks_.on_connection) hooks_.on_connection(1);
+    ServeConnection(fd);
+    if (hooks_.on_connection) hooks_.on_connection(-1);
+    {
+      // Out of held_ before close: once the number is free for reuse,
+      // Stop() must not shut down whatever socket gets it next.
+      std::lock_guard<std::mutex> lock(mu_);
+      held_.erase(std::find(held_.begin(), held_.end(), fd));
+    }
+    close(fd);
+  }
+}
+
+void HttpListener::ServeConnection(int fd) {
+  HttpConnection conn;
+  conn.fd = fd;
+  // Peer identity once per connection: the data plane keys admission on
+  // it.
+  sockaddr_in sa{};
+  socklen_t sa_len = sizeof(sa);
+  if (getpeername(fd, reinterpret_cast<sockaddr*>(&sa), &sa_len) == 0 &&
+      sa.sin_family == AF_INET) {
+    char buf[INET_ADDRSTRLEN] = {0};
+    if (inet_ntop(AF_INET, &sa.sin_addr, buf, sizeof(buf)) != nullptr) {
+      conn.peer = buf;
+    }
+  }
+
+  const size_t budget = options_.max_requests_per_connection;
+  for (size_t served = 0; served < budget; ++served) {
+    if (!running()) return;
+    HttpRequest req;
+    if (!ReadRequest(&conn, &req)) return;
+    // Keep-alive is the HTTP/1.1 default; HTTP/1.0 must opt in. The
+    // budget caps reuse regardless: its last response says close.
+    std::string connection;
+    if (auto it = req.headers.find("connection"); it != req.headers.end()) {
+      connection = it->second;
+      for (char& c : connection) c = static_cast<char>(std::tolower(c));
+    }
+    bool keep_alive = served + 1 < budget &&
+                      (req.version == "HTTP/1.1" ? connection != "close"
+                                                 : connection == "keep-alive");
+    if (!on_request_(&conn, &req, keep_alive) || !keep_alive) return;
+  }
+}
+
+bool HttpListener::ReadRequest(HttpConnection* conn, HttpRequest* req) {
+  std::string& carry = conn->carry;
+  size_t head_end;
+  size_t sep_len;
+  char buf[4096];
+  for (;;) {
+    sep_len = 4;
+    head_end = carry.find("\r\n\r\n");
+    if (head_end == std::string::npos) {
+      head_end = carry.find("\n\n");
+      sep_len = 2;
+    }
+    if (head_end != std::string::npos) break;
+    if (carry.size() > options_.max_request_bytes) {
+      return Reject(conn->fd, 431);
+    }
+    ssize_t r = recv(conn->fd, buf, sizeof(buf), 0);
+    if (r <= 0) {
+      if (r < 0 && errno == EINTR) continue;
+      // EOF or timeout before the first byte ends the conversation
+      // cleanly; a head cut short (or a slowloris stall) is an error.
+      if (!carry.empty()) CountError();
+      return false;
+    }
+    carry.append(buf, static_cast<size_t>(r));
+  }
+  bool parsed = ParseRequestHead(carry.substr(0, head_end), req);
+  carry.erase(0, head_end + sep_len);
+  if (!parsed) return Reject(conn->fd, 400);
+  return true;
 }
 
 }  // namespace server

@@ -223,6 +223,11 @@ TEST(ServiceStreamingTest, AllBindingPatternsStreamTheirFullAnswerSet) {
 int ConnectTo(uint16_t port) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  // Bounded reads: a server that stops answering fails the test instead
+  // of hanging it.
+  timeval tv{};
+  tv.tv_sec = 10;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -463,6 +468,30 @@ TEST(DataServerTest, KeepAliveServesMultipleQueriesOnOneConnection) {
   EXPECT_GE(fx.server->requests_served(), 3u);
 }
 
+TEST(DataServerTest, KeepAliveBudgetEndsWithConnectionClose) {
+  DataServerOptions opts;
+  opts.max_requests_per_connection = 2;
+  DataFixture fx(16, opts);
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  std::string carry;
+  const char* expected[] = {"keep-alive", "close"};
+  for (const char* connection : expected) {
+    std::string raw = QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" +
+                                      fx.source + "\"}");
+    ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(raw.size()));
+    HttpResult r;
+    ASSERT_TRUE(ReadResponse(fd, &carry, &r)) << connection;
+    EXPECT_EQ(r.status, 200);
+    EXPECT_EQ(r.headers["connection"], connection);
+  }
+  // The budget is spent: the server has closed its end.
+  char c;
+  EXPECT_EQ(recv(fd, &c, 1, 0), 0);
+  close(fd);
+}
+
 TEST(DataServerTest, MidStreamDeadlineYieldsWellFormedPartialTrailer) {
   DataFixture fx(1024);
   // A budget far below the uncancelled runtime (hundreds of ms at
@@ -670,7 +699,9 @@ TEST(DataServerTest, MalformedRequestsAreRejectedDefensively) {
 
   int fd = ConnectTo(port);
   ASSERT_GE(fd, 0);
-  // Unknown path.
+  // Unknown path, with a body the server never reads. A valid query sent
+  // after it on the same connection must not be parsed out of that body:
+  // it is either served, or the 404 closed the connection.
   std::string raw =
       "POST /v2/nope HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}";
   ASSERT_GT(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL), 0);
@@ -678,6 +709,15 @@ TEST(DataServerTest, MalformedRequestsAreRejectedDefensively) {
   HttpResult notfound;
   ASSERT_TRUE(ReadResponse(fd, &carry, &notfound));
   EXPECT_EQ(notfound.status, 404);
+  raw = QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" + fx.source +
+                        "\"}");
+  send(fd, raw.data(), raw.size(), MSG_NOSIGNAL);  // may meet the close
+  HttpResult after;
+  if (ReadResponse(fd, &carry, &after)) {
+    EXPECT_EQ(after.status, 200) << "keep-alive stream desynced by the 404";
+  } else {
+    EXPECT_EQ(notfound.headers["connection"], "close");
+  }
   close(fd);
 
   // GET on the query path.

@@ -1,18 +1,23 @@
-// Admin-plane HTTP server: request parsing and defensive limits on the
-// raw socket (404/405/400/431, slowloris timeout, ephemeral port bind,
-// query-string decoding), then the registered endpoints over a real
-// QueryService — /metrics under concurrent scrape + query load (the TSan
+// Admin-plane HTTP server: request parsing on the raw socket (404/405/400,
+// ephemeral port bind, query-string decoding); the listener both planes
+// share, driven through each plane (431 cap, slowloris timeout, clean EOF
+// vs a cut head, descriptor exhaustion in accept, Stop() with an idle
+// connection, accept-queue shed); then the registered endpoints over a
+// real QueryService — /metrics under concurrent scrape + query load (the TSan
 // target), /readyz flipping 503 -> 200 across FinishRecovery, and
 // /debug/trace rendering well-formed Chrome trace-event JSON carrying
 // both query and publish spans.
+#include <fcntl.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <stdlib.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <arpa/inet.h>
 
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <memory>
@@ -27,6 +32,7 @@
 #include "obs/metrics.h"
 #include "server/admin_endpoints.h"
 #include "server/admin_server.h"
+#include "server/data_server.h"
 #include "service/query_service.h"
 #include "storage/database.h"
 #include "workloads/workloads.h"
@@ -37,6 +43,8 @@ namespace {
 namespace fs = std::filesystem;
 using server::AdminServer;
 using server::AdminServerOptions;
+using server::DataServer;
+using server::DataServerOptions;
 using server::HttpRequest;
 using server::HttpResponse;
 
@@ -70,31 +78,38 @@ struct FetchResult {
   std::string body;
 };
 
-int ConnectTo(uint16_t port) {
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
+/// Bounds every blocking read a test client makes, so a server that stops
+/// answering fails the test instead of hanging it.
+void SetRecvTimeout(int fd, int ms) {
+  timeval tv{};
+  tv.tv_sec = ms / 1000;
+  tv.tv_usec = (ms % 1000) * 1000;
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+}
+
+bool Connect(int fd, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
   inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+  return connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0;
+}
+
+int ConnectTo(uint16_t port) {
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  SetRecvTimeout(fd, 10000);
+  if (!Connect(fd, port)) {
     close(fd);
     return -1;
   }
   return fd;
 }
 
-/// Sends `raw` verbatim and reads until the server closes the connection
-/// (the server always answers `Connection: close`).
-FetchResult Exchange(uint16_t port, const std::string& raw) {
+/// Reads one `Connection: close` response: everything until the server
+/// closes the connection (or the read times out).
+FetchResult ReadToClose(int fd) {
   FetchResult r;
-  int fd = ConnectTo(port);
-  if (fd < 0) return r;
-  if (send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) !=
-      static_cast<ssize_t>(raw.size())) {
-    close(fd);
-    return r;
-  }
   std::string resp;
   char buf[4096];
   for (;;) {
@@ -102,7 +117,6 @@ FetchResult Exchange(uint16_t port, const std::string& raw) {
     if (n <= 0) break;
     resp.append(buf, static_cast<size_t>(n));
   }
-  close(fd);
   size_t split = resp.find("\r\n\r\n");
   if (split == std::string::npos) return r;
   r.head = resp.substr(0, split);
@@ -111,6 +125,19 @@ FetchResult Exchange(uint16_t port, const std::string& raw) {
   if (r.head.rfind("HTTP/1.1 ", 0) != 0 || r.head.size() < 12) return r;
   r.status = std::atoi(r.head.c_str() + 9);
   r.ok = r.status != 0;
+  return r;
+}
+
+/// Sends `raw` verbatim and reads until the server closes the connection.
+FetchResult Exchange(uint16_t port, const std::string& raw) {
+  int fd = ConnectTo(port);
+  if (fd < 0) return {};
+  FetchResult r;
+  if (send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+      static_cast<ssize_t>(raw.size())) {
+    r = ReadToClose(fd);
+  }
+  close(fd);
   return r;
 }
 
@@ -208,43 +235,6 @@ TEST(AdminServerTest, NonGetIs405AndGarbageIs400) {
   EXPECT_GE(srv.request_errors(), 2u);
 }
 
-TEST(AdminServerTest, OversizedHeadIs431) {
-  AdminServerOptions opts;
-  opts.max_request_bytes = 256;
-  AdminServer srv(opts);
-  srv.Handle("/", [](const HttpRequest&) { return HttpResponse{}; });
-  ASSERT_TRUE(srv.Start().ok());
-  std::string huge = "GET / HTTP/1.1\r\nX-Padding: ";
-  huge.append(4096, 'x');
-  huge += "\r\n\r\n";
-  FetchResult r = Exchange(srv.port(), huge);
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.status, 431);
-}
-
-TEST(AdminServerTest, SlowlorisConnectionIsClosedAfterTimeout) {
-  AdminServerOptions opts;
-  opts.io_timeout_ms = 200;
-  AdminServer srv(opts);
-  srv.Handle("/", [](const HttpRequest&) { return HttpResponse{}; });
-  ASSERT_TRUE(srv.Start().ok());
-  int fd = ConnectTo(srv.port());
-  ASSERT_GE(fd, 0);
-  // A header-in-progress that never completes. The server must give up on
-  // its own (recv timeout) rather than pinning the handler forever.
-  const char partial[] = "GET / HTTP/1.1\r\nX-Stall: ";
-  ASSERT_GT(send(fd, partial, sizeof(partial) - 1, MSG_NOSIGNAL), 0);
-  char buf[64];
-  ssize_t n = recv(fd, buf, sizeof(buf), 0);  // blocks until server closes
-  EXPECT_LE(n, 0);
-  close(fd);
-  EXPECT_GE(srv.request_errors(), 1u);
-  // The pool is still healthy after dropping the stalled client.
-  FetchResult r = Get(srv.port(), "/");
-  ASSERT_TRUE(r.ok);
-  EXPECT_EQ(r.status, 200);
-}
-
 TEST(AdminServerTest, QueryParamsAreDecodedAndStripped) {
   AdminServer srv;
   srv.Handle("/echo", [](const HttpRequest& req) {
@@ -260,6 +250,274 @@ TEST(AdminServerTest, QueryParamsAreDecodedAndStripped) {
   EXPECT_EQ(r.status, 200);
   EXPECT_EQ(r.body, "a=1;b=x y z;flag=;");
 }
+
+// ------------------------------------------------- the shared listener
+//
+// Both planes run on one HttpListener; every test here takes the plane as
+// an input, so a connection-handling fix cannot land on one plane only.
+
+enum class Plane { kAdmin, kData };
+
+/// Listener settings a test overrides; 0 keeps the plane's default.
+struct Knobs {
+  size_t handler_threads = 0;
+  size_t queue_capacity = 0;
+  size_t max_request_bytes = 0;
+  int io_timeout_ms = 0;
+};
+
+template <typename Options>
+Options WithKnobs(Options o, const Knobs& k) {
+  if (k.handler_threads != 0) o.handler_threads = k.handler_threads;
+  if (k.queue_capacity != 0) o.queue_capacity = k.queue_capacity;
+  if (k.max_request_bytes != 0) o.max_request_bytes = k.max_request_bytes;
+  if (k.io_timeout_ms != 0) o.io_timeout_ms = k.io_timeout_ms;
+  return o;
+}
+
+/// A started server of either plane (the data plane over a small sg
+/// service), with a request it answers 200.
+class PlaneServer {
+ public:
+  PlaneServer(Plane plane, const Knobs& knobs) {
+    if (plane == Plane::kAdmin) {
+      admin_ = std::make_unique<AdminServer>(
+          WithKnobs(AdminServerOptions{}, knobs));
+      admin_->Handle("/", [](const HttpRequest&) { return HttpResponse{}; });
+      EXPECT_TRUE(admin_->Start().ok());
+      return;
+    }
+    std::string source = workloads::Fig7b(db_, 8);
+    Program program =
+        ParseProgram(workloads::SgProgramText(), db_.symbols()).take();
+    QueryServiceOptions sopts;
+    sopts.num_threads = 2;
+    service_ = std::make_unique<QueryService>(&db_, program, sopts);
+    EXPECT_TRUE(service_->status().ok()) << service_->status().message();
+    data_ = std::make_unique<DataServer>(
+        service_.get(), WithKnobs(DataServerOptions{}, knobs));
+    EXPECT_TRUE(data_->Start().ok());
+    query_body_ = "{\"pred\": \"sg\", \"source\": \"" + source +
+                  "\", \"stream\": false}";
+  }
+
+  uint16_t port() const { return admin_ ? admin_->port() : data_->port(); }
+  uint64_t request_errors() const {
+    return admin_ ? admin_->request_errors() : data_->request_errors();
+  }
+  void Stop() { admin_ ? admin_->Stop() : data_->Stop(); }
+
+  /// A request the plane answers 200; `close` asks to end the connection.
+  std::string OkRequest(bool close = true) const {
+    if (admin_) return "GET / HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+    return "POST /v1/query HTTP/1.1\r\nHost: 127.0.0.1\r\n" +
+           std::string(close ? "Connection: close\r\n" : "") +
+           "Content-Length: " + std::to_string(query_body_.size()) +
+           "\r\n\r\n" + query_body_;
+  }
+
+ private:
+  Database db_;
+  std::unique_ptr<QueryService> service_;
+  std::string query_body_;
+  // Servers after the service: destroyed (stopped) first.
+  std::unique_ptr<AdminServer> admin_;
+  std::unique_ptr<DataServer> data_;
+};
+
+class ListenerTest : public ::testing::TestWithParam<Plane> {};
+
+TEST_P(ListenerTest, OversizedHeadIs431) {
+  Knobs knobs;
+  knobs.max_request_bytes = 256;
+  PlaneServer srv(GetParam(), knobs);
+  std::string huge = "GET / HTTP/1.1\r\nX-Padding: ";
+  huge.append(4096, 'x');
+  huge += "\r\n\r\n";
+  FetchResult r = Exchange(srv.port(), huge);
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 431);
+  EXPECT_GE(srv.request_errors(), 1u);
+}
+
+TEST_P(ListenerTest, SlowlorisConnectionIsClosedAfterTimeout) {
+  Knobs knobs;
+  knobs.io_timeout_ms = 200;
+  PlaneServer srv(GetParam(), knobs);
+  int fd = ConnectTo(srv.port());
+  ASSERT_GE(fd, 0);
+  // A header-in-progress that never completes. The server must give up on
+  // its own (recv timeout) rather than pinning the handler forever.
+  const char partial[] = "GET / HTTP/1.1\r\nX-Stall: ";
+  ASSERT_GT(send(fd, partial, sizeof(partial) - 1, MSG_NOSIGNAL), 0);
+  auto t0 = std::chrono::steady_clock::now();
+  char buf[64];
+  ssize_t n = recv(fd, buf, sizeof(buf), 0);  // blocks until server closes
+  EXPECT_EQ(n, 0) << "closed by the server, not by the client's own timeout";
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5));
+  close(fd);
+  EXPECT_GE(srv.request_errors(), 1u);
+  // The pool is still healthy after dropping the stalled client.
+  FetchResult r = Exchange(srv.port(), srv.OkRequest());
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200);
+}
+
+TEST_P(ListenerTest, CleanEofIsNotAnErrorButACutHeadIs) {
+  // One handler serves connections in accept order, so once the request
+  // after a connection is answered, that connection has been handled.
+  Knobs knobs;
+  knobs.handler_threads = 1;
+  PlaneServer srv(GetParam(), knobs);
+
+  // A bare connect + close: a TCP liveness probe, or a client ending a
+  // keep-alive conversation. Not an error.
+  int fd = ConnectTo(srv.port());
+  ASSERT_GE(fd, 0);
+  close(fd);
+  FetchResult r = Exchange(srv.port(), srv.OkRequest());
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(srv.request_errors(), 0u);
+
+  // A head cut short by the client is one.
+  fd = ConnectTo(srv.port());
+  ASSERT_GE(fd, 0);
+  const char cut[] = "GET / HT";
+  ASSERT_GT(send(fd, cut, sizeof(cut) - 1, MSG_NOSIGNAL), 0);
+  close(fd);
+  r = Exchange(srv.port(), srv.OkRequest());
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200);
+  EXPECT_EQ(srv.request_errors(), 1u);
+}
+
+/// Lowers this process's descriptor limit to the descriptors already open
+/// (so the next accept(2) fails with EMFILE) and restores it on scope exit.
+class DescriptorsExhausted {
+ public:
+  DescriptorsExhausted() {
+    EXPECT_EQ(getrlimit(RLIMIT_NOFILE, &saved_), 0);
+    int lowest_free = open("/dev/null", O_RDONLY);
+    EXPECT_GE(lowest_free, 0);
+    close(lowest_free);
+    rlimit tight = saved_;
+    tight.rlim_cur = static_cast<rlim_t>(lowest_free);
+    active_ = setrlimit(RLIMIT_NOFILE, &tight) == 0;
+    EXPECT_TRUE(active_);
+  }
+  ~DescriptorsExhausted() {
+    if (active_) {
+      EXPECT_EQ(setrlimit(RLIMIT_NOFILE, &saved_), 0);
+    }
+  }
+
+ private:
+  rlimit saved_{};
+  bool active_ = false;
+};
+
+TEST_P(ListenerTest, AcceptLoopSurvivesDescriptorExhaustion) {
+  PlaneServer srv(GetParam(), {});
+  int fd = socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  SetRecvTimeout(fd, 5000);
+  {
+    DescriptorsExhausted exhausted;
+    int extra = open("/dev/null", O_RDONLY);
+    int open_errno = errno;
+    EXPECT_LT(extra, 0);
+    EXPECT_EQ(open_errno, EMFILE);
+    if (extra >= 0) close(extra);
+    // The handshake completes in the kernel's backlog; the server's
+    // accept(2) meets EMFILE (repeatedly) until the limit is restored.
+    ASSERT_TRUE(Connect(fd, srv.port()));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  // The connection that waited out the exhaustion is served...
+  std::string raw = srv.OkRequest();
+  ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  FetchResult waited = ReadToClose(fd);
+  close(fd);
+  ASSERT_TRUE(waited.ok) << "accept loop died on EMFILE";
+  EXPECT_EQ(waited.status, 200);
+  // ...and so is the next one.
+  FetchResult next = Exchange(srv.port(), srv.OkRequest());
+  ASSERT_TRUE(next.ok);
+  EXPECT_EQ(next.status, 200);
+}
+
+TEST_P(ListenerTest, StopReturnsPromptlyWithAnIdleConnection) {
+  // Default io_timeout_ms (seconds): Stop() must not wait it out for a
+  // handler parked in recv on an idle connection.
+  PlaneServer srv(GetParam(), {});
+  int fd = ConnectTo(srv.port());
+  ASSERT_GE(fd, 0);
+  if (GetParam() == Plane::kData) {
+    // One full exchange, then the connection idles between requests.
+    std::string raw = srv.OkRequest(/*close=*/false);
+    ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(raw.size()));
+    std::string resp;
+    char buf[4096];
+    while (resp.find("{\"trailer\"") == std::string::npos ||
+           resp.compare(resp.size() - 3, 3, "}}\n") != 0) {
+      ssize_t n = recv(fd, buf, sizeof(buf), 0);
+      ASSERT_GT(n, 0);
+      resp.append(buf, static_cast<size_t>(n));
+    }
+    ASSERT_EQ(resp.rfind("HTTP/1.1 200", 0), 0u) << resp;
+    ASSERT_NE(resp.find("Connection: keep-alive"), std::string::npos);
+  }
+  // Let a handler take the connection and park in recv.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  auto t0 = std::chrono::steady_clock::now();
+  srv.Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(1000));
+  char c;
+  EXPECT_EQ(recv(fd, &c, 1, 0), 0) << "server closed the idle connection";
+  close(fd);
+}
+
+TEST_P(ListenerTest, FullAcceptQueueSheds503WithRetryAfter) {
+  Knobs knobs;
+  knobs.handler_threads = 1;
+  knobs.queue_capacity = 1;
+  PlaneServer srv(GetParam(), knobs);
+  // The only handler stalls on a head that never completes.
+  int stalled = ConnectTo(srv.port());
+  ASSERT_GE(stalled, 0);
+  const char partial[] = "GET / HTTP/1.1\r\nX-Stall: ";
+  ASSERT_GT(send(stalled, partial, sizeof(partial) - 1, MSG_NOSIGNAL), 0);
+  // Three more: at most one waits in the queue (one more if the handler
+  // has not yet taken the stalled connection off it); the rest are shed
+  // by the accept thread.
+  int shed = 0;
+  for (int i = 0; i < 3; ++i) {
+    int fd = ConnectTo(srv.port());
+    ASSERT_GE(fd, 0);
+    SetRecvTimeout(fd, 500);
+    FetchResult r = ReadToClose(fd);
+    close(fd);
+    if (!r.ok) continue;  // queued: no answer while the handler stalls
+    EXPECT_EQ(r.status, 503);
+    EXPECT_NE(r.head.find("Retry-After: 1"), std::string::npos) << r.head;
+    EXPECT_NE(r.head.find("Connection: close"), std::string::npos) << r.head;
+    ++shed;
+  }
+  EXPECT_GE(shed, 2);
+  EXPECT_GE(srv.request_errors(), static_cast<uint64_t>(shed));
+  close(stalled);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothPlanes, ListenerTest,
+                         ::testing::Values(Plane::kAdmin, Plane::kData),
+                         [](const ::testing::TestParamInfo<Plane>& info) {
+                           return info.param == Plane::kAdmin ? "Admin"
+                                                              : "Data";
+                         });
 
 // --------------------------------------------------- endpoints over a live
 // service
