@@ -278,9 +278,9 @@ def check_storage(baseline, smoke, errors):
 DURABLE_OVERHEAD_BOUND = 1.25
 
 # Metrics-enabled service throughput may cost at most this much over the
-# same batch with recording disabled (within-run best-of-reps ratio). The
-# design target is 1.01; the slack absorbs scheduler noise on small CI
-# runners, not real overhead.
+# same batch with recording disabled (within-run median of interleaved
+# off/on pair ratios). The design target is 1.01; the slack absorbs
+# scheduler noise on small CI runners, not real overhead.
 OBS_OVERHEAD_BOUND = 1.10
 
 

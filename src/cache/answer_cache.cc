@@ -1,6 +1,9 @@
 #include "cache/answer_cache.h"
 
 #include <cstdio>
+#include <list>
+#include <mutex>
+#include <unordered_map>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -85,9 +88,6 @@ AnswerCache::AnswerCache(size_t max_bytes, uint64_t program_fingerprint)
   m_invalidations_ = r.GetCounter(
       "binchain_cache_invalidations_total",
       "Entries dropped because a supporting relation changed");
-  m_collapsed_ = r.GetCounter(
-      "binchain_cache_collapsed_total",
-      "Identical concurrent misses coalesced onto an in-flight evaluation");
   m_bytes_ = r.GetGauge("binchain_cache_bytes",
                         "Resident answer-cache bytes (all caches)");
   m_entries_ = r.GetGauge("binchain_cache_entries",
@@ -249,42 +249,8 @@ void AnswerCache::OnPublish(const Database& tip) {
   }
 }
 
-AnswerCache::FlightDecision AnswerCache::JoinFlight(
-    const std::string& key, uint64_t epoch, std::shared_ptr<void> waiter) {
-  std::lock_guard<std::mutex> lock(flight_mu_);
-  auto it = flights_.find(key);
-  if (it == flights_.end()) {
-    Flight f;
-    f.epoch = epoch;
-    flights_.emplace(key, std::move(f));
-    return FlightDecision::kLeader;
-  }
-  if (it->second.epoch != epoch) {
-    // A leader is mid-evaluation on another epoch (publish raced the
-    // batch); its answer would be wrong for this epoch, so evaluate
-    // independently rather than stall behind it.
-    return FlightDecision::kStandalone;
-  }
-  it->second.waiters.push_back(std::move(waiter));
-  collapsed_.fetch_add(1, std::memory_order_relaxed);
-  m_collapsed_->Inc();
-  return FlightDecision::kJoined;
-}
-
-std::vector<std::shared_ptr<void>> AnswerCache::FinishFlight(
-    const std::string& key, uint64_t epoch) {
-  std::lock_guard<std::mutex> lock(flight_mu_);
-  auto it = flights_.find(key);
-  if (it == flights_.end() || it->second.epoch != epoch) return {};
-  std::vector<std::shared_ptr<void>> waiters =
-      std::move(it->second.waiters);
-  flights_.erase(it);
-  return waiters;
-}
-
 void AnswerCache::NoteCollapsed() {
   collapsed_.fetch_add(1, std::memory_order_relaxed);
-  m_collapsed_->Inc();
 }
 
 void AnswerCache::Clear() {

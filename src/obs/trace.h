@@ -79,8 +79,8 @@ struct QueryTrace {
   /// evaluation; eval_ms is 0 and the effort counters replay the original
   /// evaluation's.
   bool cache_hit = false;
-  /// Result replayed from another query's evaluation: a single-flight
-  /// waiter fanned out by its leader, or an in-batch dedup follower.
+  /// Result replayed from an identical evaluation that was in flight on
+  /// the same epoch when this request was submitted (a flight waiter).
   bool collapsed = false;
 
   /// One JSON object (no trailing newline), appended to *out.

@@ -1,12 +1,12 @@
 #include "service/query_service.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "cache/answer_cache.h"
@@ -92,6 +92,12 @@ struct ServiceObs {
     cancelled = r.GetCounter(
         "binchain_service_cancelled_total",
         "Queries cancelled through their future (or by dropping it)");
+    // Cache-family name, service-owned: the flight table collapses
+    // identical requests with the cache on or off.
+    collapsed = r.GetCounter(
+        "binchain_cache_collapsed_total",
+        "Responses replayed from an identical evaluation in flight on the "
+        "same epoch");
     latency_ms = r.GetHistogram("binchain_service_latency_ms",
                                 "Query latency, submission to completion");
     queue_wait_ms =
@@ -133,6 +139,7 @@ struct ServiceObs {
   obs::Counter* shed;
   obs::Counter* timed_out;
   obs::Counter* cancelled;
+  obs::Counter* collapsed;
   obs::Histogram* latency_ms;
   obs::Histogram* queue_wait_ms;
   obs::Gauge* queue_depth;
@@ -164,12 +171,6 @@ struct BatchShared {
   /// The owning service's instruments; raw because the service destructor
   /// drains every batch before its members die.
   ServiceObs* obs = nullptr;
-  /// Claim cursor for the blocking-batch runner path (see EvalBatch).
-  std::atomic<size_t> next{0};
-  /// Future-based submissions have waiters per query, so every completion
-  /// broadcasts; the blocking-batch path waits only for the whole batch,
-  /// so only the last completion needs to.
-  bool notify_each = true;
 };
 
 /// One submitted query: the request (frozen at submission), the token the
@@ -180,40 +181,47 @@ struct AsyncQueryState {
   CancelToken token;
   QueryResponse response;
   bool done = false;  // guarded by batch->mu
+  /// A future blocks on this query, so its completion must wake the batch
+  /// condvar (guarded by batch->mu). Otherwise only the batch's last
+  /// completion does, for BatchHandle::Wait.
+  bool awaited = false;
   /// Whether a worker picked the query up (RunOne ran). Shed and
   /// cancelled-while-queued requests never set this; their span charges the
   /// whole lifetime to queue wait.
   bool ran = false;
   std::shared_ptr<BatchShared> batch;
 
-  /// Exact-match key (QueryService::RequestKey). Empty when neither the
-  /// cache nor in-batch dedup applies to this submission.
-  std::string cache_key;
-  /// This query leads a single-flight: FinishEval (or the shed path) must
-  /// FinishFlight and fan the outcome out to the parked waiters.
-  bool flight_leader = false;
+  /// Exact-match key (QueryService::RequestKey): the answer cache's key,
+  /// and with the batch's epoch the flight-table key.
+  std::string key;
+  /// Hash of (epoch, key), computed once at submission: picks the flight
+  /// shard and is compared before the key.
+  size_t flight_hash = 0;
+  /// The query leads a flight registered in the flight table (set under
+  /// the shard lock by Dispatch, or by a promotion in FinishEval); an
+  /// unregistered query evaluates on its own.
+  bool leads = false;
+  /// Identical submissions parked on this query. A registered leader gains
+  /// them under its shard lock; before dispatch, a blocking batch parks its
+  /// own later copies on their first copy here.
+  std::vector<std::shared_ptr<AsyncQueryState>> waiters;
+  /// The pool's reference while the query's task is queued. The task
+  /// itself holds a raw pointer, small enough for std::function to store
+  /// without a heap allocation; the worker takes this reference over.
+  std::shared_ptr<AsyncQueryState> queued_ref;
   /// The response replays an answer that was evaluated elsewhere (cache
-  /// hit, single-flight waiter, dedup follower): CompleteQuery skips the
+  /// hit, or an identical evaluation in flight): CompleteQuery skips the
   /// engine_* registry fold — that work was accounted when it actually ran
   /// — and MaybeCacheInsert never re-inserts it.
   bool replayed = false;
-  /// EvalBatch only: completed at submission (cache hit) or owned by an
-  /// in-batch dedup leader; claim-cursor runners pass it over.
-  bool skip = false;
-  /// In-batch dedup: identical requests of one batch attach here and the
-  /// leader's FinishEval fans its answer out to them. Both fields are
-  /// guarded by batch->mu; once fanout_started is set attachment is over
-  /// and late duplicates submit themselves.
-  bool fanout_started = false;
-  std::vector<std::shared_ptr<AsyncQueryState>> followers;
 };
 
 namespace {
 
 /// Replays an already-materialized answer set to the request's streaming
-/// sink as one chunk (cache hits, single-flight waiters, dedup followers):
-/// streaming consumers still receive every tuple, just without incremental
-/// boundaries — the answer existed in full before this request saw it.
+/// sink as one chunk (cache hits, flight waiters): streaming consumers
+/// still receive every tuple, just without incremental boundaries — the
+/// answer existed in full before this request saw it.
 void ReplayToSink(AsyncQueryState& q) {
   if (q.request.sink == nullptr || q.response.tuples.empty()) return;
   q.response.trace.chunks = 1;
@@ -257,12 +265,14 @@ bool QueryFuture::Ready() const {
 void QueryFuture::Wait() const {
   if (state_ == nullptr) return;
   std::unique_lock<std::mutex> lock(state_->batch->mu);
+  state_->awaited = true;
   state_->batch->cv.wait(lock, [&] { return state_->done; });
 }
 
 bool QueryFuture::WaitFor(double ms) const {
   if (state_ == nullptr) return false;
   std::unique_lock<std::mutex> lock(state_->batch->mu);
+  state_->awaited = true;
   return state_->batch->cv.wait_for(
       lock, std::chrono::duration<double, std::milli>(ms),
       [&] { return state_->done; });
@@ -277,6 +287,7 @@ QueryResponse QueryFuture::Take() {
   QueryResponse out;
   {
     std::unique_lock<std::mutex> lock(state_->batch->mu);
+    state_->awaited = true;
     state_->batch->cv.wait(lock, [&] { return state_->done; });
     out = std::move(state_->response);
   }
@@ -706,30 +717,27 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
 
 std::string QueryService::RequestKey(const QueryRequest& req) const {
   // Fingerprint prefix, then every request field that selects a distinct
-  // answer set, '\x1f'-separated (the separator cannot occur in interned
-  // spellings' role here — pred/source/target are caller strings, and a
-  // '\x1f' inside one still keys deterministically, just conservatively).
+  // answer set. The caller strings are length-prefixed, so no spelling of
+  // pred/source/target can shift bytes into a neighbouring field.
   std::string key;
   key.reserve(cache_key_prefix_.size() + req.pred.size() +
-              req.source.size() + req.target.size() + 16);
+              req.source.size() + req.target.size() + 24);
   key += cache_key_prefix_;
-  key += req.pred;
-  key += '\x1f';
-  key += req.source;
-  key += '\x1f';
-  key += req.target;
-  key += '\x1f';
+  for (const std::string* field : {&req.pred, &req.source, &req.target}) {
+    key += std::to_string(field->size());
+    key += ':';
+    key += *field;
+  }
   key += req.diagonal ? 'D' : '-';
   key += req.options.use_cyclic_bound ? 'c' : '-';
   key += req.options.disable_closure_sharing ? 'n' : '-';
-  key += '\x1f';
   key += std::to_string(req.options.max_iterations);
   return key;
 }
 
 bool QueryService::TryServeFromCache(AsyncQueryState& q) {
   if (answer_cache_ == nullptr) return false;
-  auto ans = answer_cache_->Lookup(q.cache_key, *q.batch->db);
+  auto ans = answer_cache_->Lookup(q.key, *q.batch->db);
   if (ans == nullptr) return false;
   QueryResponse& r = q.response;
   r.tuples = ans->tuples;
@@ -786,11 +794,11 @@ void QueryService::MaybeCacheInsert(AsyncQueryState& q) {
   ans->stats = r.stats;
   ans->fetches = r.fetches;
   ans->result_hash = cache::AnswerCache::HashTuples(r.tuples);
-  answer_cache_->Insert(q.cache_key, std::move(deps), std::move(ans),
+  answer_cache_->Insert(q.key, std::move(deps), std::move(ans),
                         db.epoch());
 }
 
-void QueryService::FanOutOne(size_t worker_id, const AsyncQueryState& leader,
+void QueryService::FanOutOne(const AsyncQueryState& leader,
                              AsyncQueryState& w) {
   QueryResponse& r = w.response;
   r.epoch = w.batch->db->epoch();
@@ -807,99 +815,149 @@ void QueryService::FanOutOne(size_t worker_id, const AsyncQueryState& leader,
         "request deadline expired before evaluation");
     return;
   }
-  if (leader.response.status.ok()) {
-    const QueryResponse& lr = leader.response;
-    r.tuples = lr.tuples;
-    r.stats = lr.stats;
-    r.fetches = lr.fetches;
-    r.trace.pred = lr.trace.pred;
-    r.trace.source = lr.trace.source;
-    r.trace.collapsed = true;
-    w.replayed = true;
-    ReplayToSink(w);
-    return;
-  }
-  // The leader failed (cancelled, deadlined, errored) — its failure is its
-  // own, not this request's. Evaluate for real, inline on this worker.
-  RunOne(worker_id, w);
+  // A leader that failed on its own token is never replayed (FinishEval
+  // promotes a live waiter instead), so whatever status it carries here
+  // belongs to the request key — an unknown predicate, say — not to it.
+  const QueryResponse& lr = leader.response;
+  r.status = lr.status;
+  r.tuples = lr.tuples;
+  r.stats = lr.stats;
+  r.fetches = lr.fetches;
+  r.trace.pred = lr.trace.pred;
+  r.trace.source = lr.trace.source;
+  r.trace.collapsed = true;
+  w.replayed = true;
+  if (answer_cache_ != nullptr) answer_cache_->NoteCollapsed();
+  ReplayToSink(w);
 }
 
-void QueryService::FinishEval(size_t worker_id, AsyncQueryState& q) {
-  MaybeCacheInsert(q);
-  // In-batch dedup fan-out. Take the follower list once, under the batch
-  // lock (the submitting thread may still be attaching), then replay
-  // outside it; from here on late duplicates submit themselves.
-  std::vector<std::shared_ptr<AsyncQueryState>> followers;
-  {
-    std::lock_guard<std::mutex> lock(q.batch->mu);
-    q.fanout_started = true;
-    followers.swap(q.followers);
-  }
-  for (auto& f : followers) {
-    if (answer_cache_ != nullptr) answer_cache_->NoteCollapsed();
-    FanOutOne(worker_id, q, *f);
-    MaybeCacheInsert(*f);  // no-op unless the leader failed and f ran
-    CompleteQuery(*f);
-  }
-  // Single-flight fan-out: waiters parked by other submissions while this
-  // evaluation was in flight. A waiter can itself be some batch's dedup
-  // leader, so it gets the full FinishEval treatment (recursion is bounded:
-  // waiters never lead flights, and followers never have followers).
-  if (q.flight_leader) {
-    q.flight_leader = false;
-    auto waiters =
-        answer_cache_->FinishFlight(q.cache_key, q.batch->db->epoch());
-    for (auto& vw : waiters) {
-      auto w = std::static_pointer_cast<AsyncQueryState>(vw);
-      FanOutOne(worker_id, q, *w);
-      FinishEval(worker_id, *w);
+QueryService::FlightShard& QueryService::ShardOf(const AsyncQueryState& q) {
+  return flight_shards_[(q.flight_hash >> 32) % kFlightShards];
+}
+
+void QueryService::FinishEval(size_t worker_id,
+                              std::shared_ptr<AsyncQueryState> q) {
+  while (q != nullptr) {
+    MaybeCacheInsert(*q);
+    // End the flight. A registered one leaves the table under its shard
+    // lock, so every identical submission either parked before this point
+    // (and is in `waiters`) or finds no flight and leads its own. An
+    // unregistered query's waiters are copies from its own blocking batch,
+    // attached before it was dispatched.
+    std::vector<std::shared_ptr<AsyncQueryState>> waiters;
+    std::shared_ptr<AsyncQueryState> next;
+    {
+      FlightShard& shard = ShardOf(*q);
+      std::unique_lock<std::mutex> lock(shard.mu, std::defer_lock);
+      if (q->leads) {
+        lock.lock();
+        auto flight = std::find(shard.leaders.begin(), shard.leaders.end(),
+                                std::make_pair(q->flight_hash, q.get()));
+        *flight = shard.leaders.back();
+        shard.leaders.pop_back();
+      }
+      waiters.swap(q->waiters);
+      if (q->response.cancelled || q->response.timed_out) {
+        // The leader's failure is its own. The live waiter whose deadline
+        // comes first evaluates next, in the leader's place; the other live
+        // ones park on it, which keeps every waiter's deadline no earlier
+        // than its leader's.
+        auto live_end = std::partition(
+            waiters.begin(), waiters.end(),
+            [](const auto& w) { return !w->token.ShouldStop(); });
+        if (live_end != waiters.begin()) {
+          auto first = std::min_element(
+              waiters.begin(), live_end, [](const auto& a, const auto& b) {
+                return a->token.deadline() < b->token.deadline();
+              });
+          next = std::move(*first);
+          next->leads = q->leads;
+          if (next->leads) {
+            shard.leaders.emplace_back(next->flight_hash, next.get());
+          }
+          for (auto w = waiters.begin(); w != live_end; ++w) {
+            if (*w != nullptr) next->waiters.push_back(std::move(*w));
+          }
+          waiters.erase(waiters.begin(), live_end);
+        }
+      }
+    }
+    // The leader completes last: once complete, its response may be moved
+    // out by its future while the fan-out still reads it.
+    for (auto& w : waiters) {
+      FanOutOne(*q, *w);
       CompleteQuery(*w);
     }
+    CompleteQuery(*q);
+    q = std::move(next);
+    if (q != nullptr) RunOne(worker_id, *q);
   }
 }
 
-void QueryService::DispatchOrShed(std::shared_ptr<AsyncQueryState> state) {
-  ThreadPool::Task task = [this, state](size_t worker_id) {
+void QueryService::Dispatch(std::shared_ptr<AsyncQueryState> state,
+                            bool blocking) {
+  AsyncQueryState& q = *state;
+  auto task = [this, raw = &q](size_t worker_id) {
+    std::shared_ptr<AsyncQueryState> claimed = std::move(raw->queued_ref);
     if (obs_->enabled) obs_->queue_depth->Add(-1);  // claimed
-    RunOne(worker_id, *state);
-    FinishEval(worker_id, *state);
-    CompleteQuery(*state);
+    RunOne(worker_id, *claimed);
+    FinishEval(worker_id, std::move(claimed));
   };
-  // Increment-before-submit so a worker's claim-time decrement (which can
-  // run the instant TrySubmit accepts) never observes the gauge low.
-  if (obs_->enabled) obs_->queue_depth->Add(1);
-  if (pool_->TrySubmit(std::move(task))) return;
+  bool accepted = true;
+  {
+    FlightShard& shard = ShardOf(q);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto flight = std::find_if(
+        shard.leaders.begin(), shard.leaders.end(), [&q](const auto& e) {
+          return e.first == q.flight_hash && e.second->key == q.key &&
+                 e.second->batch->db->epoch() == q.batch->db->epoch();
+        });
+    if (flight != shard.leaders.end()) {
+      // An identical evaluation on this epoch is already accepted: wait for
+      // its answer instead of evaluating again — unless its deadline is
+      // later than this request's, which then evaluates on its own rather
+      // than time out waiting.
+      AsyncQueryState& leader = *flight->second;
+      if (leader.token.deadline() <= q.token.deadline()) {
+        // Copies of q that its batch parked on it come along.
+        for (auto& w : q.waiters) leader.waiters.push_back(std::move(w));
+        q.waiters.clear();
+        leader.waiters.push_back(std::move(state));
+        return;
+      }
+    } else {
+      shard.leaders.emplace_back(q.flight_hash, &q);
+      q.leads = true;
+    }
+    q.queued_ref = std::move(state);
+    // Increment-before-submit so a worker's claim-time decrement (which can
+    // run the instant the pool accepts) never observes the gauge low.
+    if (obs_->enabled) obs_->queue_depth->Add(1);
+    // Leading a flight and being accepted by the pool are one step under
+    // the shard lock: nobody can park on a request that is then shed.
+    if (!blocking && !pool_->TrySubmit(task)) {
+      if (q.leads) shard.leaders.pop_back();  // nobody parked yet
+      q.leads = false;
+      q.queued_ref.reset();  // the task is dropped unrun
+      accepted = false;
+    }
+  }
+  if (blocking) {
+    // Backpressure, outside the shard lock: workers need that lock to
+    // finish their flights and free queue room. SubmitBlocking never
+    // refuses, so a flight registered above is sure to run.
+    pool_->SubmitBlocking(std::move(task));
+    return;
+  }
+  if (accepted) return;
   if (obs_->enabled) obs_->queue_depth->Add(-1);  // never enqueued
   // Admission control: the queue is at its high-water mark. Shed this
   // request immediately — an honest kOverloaded now beats an unbounded
   // queue that deadlines everything later.
-  AsyncQueryState& q = *state;
   q.response.status =
       Status::Overloaded("submission queue at high-water mark (" +
                          std::to_string(queue_depth_) + " pending)");
   q.response.epoch = q.batch->db->epoch();
-  // Dedup followers share the verdict (pre-cache behavior: each duplicate
-  // would have hit the same full queue); flight waiters were admitted
-  // independently, so the dissolved flight re-dispatches each on its own.
-  std::vector<std::shared_ptr<AsyncQueryState>> followers;
-  {
-    std::lock_guard<std::mutex> lock(q.batch->mu);
-    q.fanout_started = true;
-    followers.swap(q.followers);
-  }
-  for (auto& f : followers) {
-    f->response.status = q.response.status;
-    f->response.epoch = q.response.epoch;
-    CompleteQuery(*f);
-  }
-  if (q.flight_leader) {
-    q.flight_leader = false;
-    auto waiters =
-        answer_cache_->FinishFlight(q.cache_key, q.batch->db->epoch());
-    for (auto& vw : waiters) {
-      DispatchOrShed(std::static_pointer_cast<AsyncQueryState>(vw));
-    }
-  }
   CompleteQuery(q);
 }
 
@@ -908,6 +966,7 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
   BatchCallback callback;
   BatchStats aggregates;
   bool last = false;
+  bool wake = false;
   /// Copy of the closed span for the slow-query log, taken under the lock
   /// (once a waiter is notified it may move the response out) but written
   /// after it — the sink does file I/O, which must never extend the
@@ -952,13 +1011,14 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
       if (t.shed) o->shed->Inc();
       if (t.timed_out) o->timed_out->Inc();
       if (t.cancelled) o->cancelled->Inc();
+      if (t.collapsed) o->collapsed->Inc();
       o->answers->Inc(t.answers);
       o->latency_ms->Observe(t.total_ms);
       o->queue_wait_ms->Observe(t.queue_wait_ms);
-      // Replayed responses (cache hits, single-flight waiters, dedup
-      // followers) carry the original evaluation's effort counters so batch
-      // totals stay byte-identical — but that work already hit the engine_*
-      // family when it actually ran; folding it again would double-count.
+      // Replayed responses (cache hits, flight waiters) carry the original
+      // evaluation's effort counters so batch totals stay byte-identical
+      // — but that work already hit the engine_* family when it actually
+      // ran; folding it again would double-count.
       if (!q.replayed) {
         o->engine_iterations->Inc(t.iterations);
         o->engine_nodes->Inc(r.stats.nodes);
@@ -1009,14 +1069,15 @@ void QueryService::CompleteQuery(AsyncQueryState& q) {
         }
       }
     }
+    wake = q.awaited;
     if (--b.remaining == 0) {
-      last = true;
+      last = wake = true;
       s.wall_ms = MsSince(b.t0);
       callback = std::move(b.on_complete);
       aggregates = s;
     }
   }
-  if (b.notify_each || last) b.cv.notify_all();
+  if (wake) b.cv.notify_all();
   // Outside the lock: the sink applies its own threshold/sampling and
   // appends one JSONL line; the callback may wait on other futures or
   // submit follow-up work (but must not block on this service's queue).
@@ -1046,7 +1107,8 @@ std::shared_ptr<BatchShared> QueryService::MakeBatchShared(size_t queries) {
 }
 
 BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
-                                       BatchCallback on_complete) {
+                                       BatchCallback on_complete,
+                                       bool blocking) {
   BatchHandle handle;
   auto shared = MakeBatchShared(batch.size());
   shared->on_complete = std::move(on_complete);
@@ -1061,14 +1123,20 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
 
   handle.futures_.reserve(batch.size());
   const Status admit = AdmissionStatus();
-  // Keys are needed for the cache and for in-batch dedup; with the cache
-  // off and a single-query batch neither applies and key-building is
-  // skipped entirely (the pre-cache hot path).
-  const bool want_keys = answer_cache_ != nullptr || batch.size() > 1;
-  // In-batch dedup: the first submission of each distinct key evaluates,
-  // identical later ones attach to it as followers and replay its answer
-  // (Fig8-style overlap batches stop paying per-duplicate traversals).
-  std::unordered_map<std::string, std::shared_ptr<AsyncQueryState>> leaders;
+  // A blocking batch collapses its own duplicates whatever the timing:
+  // each later copy of a key parks on the batch's first copy (when its
+  // deadline is no earlier) before any copy is dispatched. An async batch
+  // dispatches as it goes, so a copy can never park on a shed one.
+  const bool group = blocking && batch.size() > 1;
+  // First copies, open-addressed on flight_hash at load <= 1/2.
+  std::vector<AsyncQueryState*> firsts;
+  std::vector<std::shared_ptr<AsyncQueryState>> grouped;
+  if (group) {
+    size_t slots = 2;
+    while (slots < 2 * batch.size()) slots <<= 1;
+    firsts.assign(slots, nullptr);
+    grouped.reserve(batch.size());
+  }
   for (QueryRequest& req : batch) {
     auto state = std::make_shared<AsyncQueryState>();
     state->batch = shared;
@@ -1090,47 +1158,39 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
       CompleteQuery(*state);
       continue;
     }
-    if (want_keys) state->cache_key = RequestKey(state->request);
+    state->key = RequestKey(state->request);
+    state->flight_hash = std::hash<std::string>()(state->key) ^
+                         (shared->db->epoch() * 0x9e3779b97f4a7c15ull);
     // Cache fast path: a hit completes on this thread, right here — no
     // queue traffic, no worker handoff.
     if (TryServeFromCache(*state)) continue;
-    if (batch.size() > 1) {
-      auto [it, fresh] = leaders.try_emplace(state->cache_key, state);
-      if (!fresh) {
-        bool attached = false;
-        {
-          std::lock_guard<std::mutex> lock(shared->mu);
-          if (!it->second->fanout_started) {
-            it->second->followers.push_back(state);
-            attached = true;
-          }
-        }
-        if (attached) continue;
-        // The leader already finished (workers are fast, batches are
-        // long): this duplicate just submits itself.
-      }
+    if (!group) {
+      Dispatch(std::move(state), blocking);
+      continue;
     }
-    // Single-flight: concurrent identical misses across batches collapse
-    // onto one in-flight evaluation. Joined waiters are fanned out by the
-    // leader's FinishEval; an epoch-mismatched flight leaves this request
-    // standalone (a cached answer must never cross epochs).
-    if (answer_cache_ != nullptr) {
-      const auto decision = answer_cache_->JoinFlight(
-          state->cache_key, shared->db->epoch(), state);
-      if (decision == cache::AnswerCache::FlightDecision::kJoined) continue;
-      if (decision == cache::AnswerCache::FlightDecision::kLeader) {
-        state->flight_leader = true;
-      }
+    size_t slot = state->flight_hash & (firsts.size() - 1);
+    while (firsts[slot] != nullptr && (firsts[slot]->flight_hash !=
+                                           state->flight_hash ||
+                                       firsts[slot]->key != state->key)) {
+      slot = (slot + 1) & (firsts.size() - 1);
     }
-    DispatchOrShed(std::move(state));
+    AsyncQueryState* first = firsts[slot];
+    if (first == nullptr) {
+      firsts[slot] = state.get();
+    } else if (first->token.deadline() <= state->token.deadline()) {
+      first->waiters.push_back(std::move(state));
+      continue;
+    }
+    grouped.push_back(std::move(state));
   }
+  for (auto& state : grouped) Dispatch(std::move(state), true);
   return handle;
 }
 
 QueryFuture QueryService::Submit(QueryRequest request) {
   std::vector<QueryRequest> one;
   one.push_back(std::move(request));
-  BatchHandle handle = SubmitShared(std::move(one), nullptr);
+  BatchHandle handle = SubmitShared(std::move(one), nullptr, false);
   // Moving the future out disarms the handle's drop-cancellation; the
   // batch state stays alive behind the future.
   return std::move(handle.futures_[0]);
@@ -1138,103 +1198,16 @@ QueryFuture QueryService::Submit(QueryRequest request) {
 
 BatchHandle QueryService::SubmitBatch(std::vector<QueryRequest> batch,
                                       BatchCallback on_complete) {
-  return SubmitShared(std::move(batch), std::move(on_complete));
+  return SubmitShared(std::move(batch), std::move(on_complete), false);
 }
 
 QueryResponse QueryService::Eval(const QueryRequest& request) {
-  return EvalBatch({request})[0];
+  return SubmitShared({request}, nullptr, true).future(0).Take();
 }
 
 std::vector<QueryResponse> QueryService::EvalBatch(
     const std::vector<QueryRequest>& batch, BatchStats* stats) {
-  const size_t n = batch.size();
-  auto shared = MakeBatchShared(n);
-  shared->notify_each = false;  // no per-query waiters on this path
-  std::vector<QueryResponse> responses(n);
-  if (n > 0) {
-    // One state per query in a single allocation. The array owner is a
-    // shared_ptr for two reasons: dedup followers are handed to their
-    // leader as aliasing shared_ptrs into this array (still zero extra
-    // allocations), and runners capture the owner so a late claim-loop
-    // pass over pre-completed (skipped) indexes can never outlive the
-    // states. The cv wait below still synchronizes with the last
-    // CompleteQuery before responses are moved out.
-    std::shared_ptr<AsyncQueryState[]> states(new AsyncQueryState[n]);
-    for (size_t i = 0; i < n; ++i) {
-      states[i].batch = shared;
-      states[i].response.trace.query_id =
-          obs_->next_query_id.fetch_add(1, std::memory_order_relaxed);
-      if (batch[i].options.deadline_ms > 0) {
-        states[i].token.SetDeadlineAfter(batch[i].options.deadline_ms);
-      }
-      states[i].request = batch[i];
-    }
-    if (const Status admit = AdmissionStatus(); !admit.ok()) {
-      for (size_t i = 0; i < n; ++i) {
-        states[i].response.status = admit;
-        states[i].response.epoch = shared->db->epoch();
-        CompleteQuery(states[i]);
-      }
-    } else {
-      // Cache lookups and in-batch dedup, resolved up front on the calling
-      // thread (runners have not been launched, so no locking subtleties):
-      // hits complete immediately, duplicates attach to their leader, and
-      // both are marked for the claim loop to pass over. No single-flight
-      // on this path — blocking batches pay no per-query queue traffic, so
-      // the flight table's cross-batch rendezvous is not worth its lock
-      // here (documented in the cache header).
-      size_t live = n;
-      if (answer_cache_ != nullptr || n > 1) {
-        std::unordered_map<std::string, size_t> leaders;
-        for (size_t i = 0; i < n; ++i) {
-          states[i].cache_key = RequestKey(states[i].request);
-          if (TryServeFromCache(states[i])) {
-            states[i].skip = true;
-            --live;
-            continue;
-          }
-          if (n > 1) {
-            auto [it, fresh] = leaders.try_emplace(states[i].cache_key, i);
-            if (!fresh) {
-              states[it->second].followers.push_back(
-                  std::shared_ptr<AsyncQueryState>(states, &states[i]));
-              states[i].skip = true;
-              --live;
-            }
-          }
-        }
-      }
-      // Claim-cursor runners instead of one queued closure per query: the
-      // blocking path enqueues at most one task per worker, and workers
-      // claim batch indexes from the shared cursor (self-balancing, FIFO).
-      // Per-query heap/queue traffic stays off this hot path; backpressure
-      // comes from SubmitBlocking when other batches own the queue.
-      size_t runners = std::min(workers_.size(), live);
-      for (size_t r = 0; r < runners; ++r) {
-        pool_->SubmitBlocking([this, shared, states, n](size_t worker_id) {
-          AsyncQueryState* raw = states.get();
-          for (size_t i = shared->next.fetch_add(1, std::memory_order_relaxed);
-               i < n;
-               i = shared->next.fetch_add(1, std::memory_order_relaxed)) {
-            if (raw[i].skip) continue;
-            RunOne(worker_id, raw[i]);
-            FinishEval(worker_id, raw[i]);
-            CompleteQuery(raw[i]);
-          }
-        });
-      }
-      std::unique_lock<std::mutex> lock(shared->mu);
-      shared->cv.wait(lock, [&] { return shared->remaining == 0; });
-    }
-    for (size_t i = 0; i < n; ++i) {
-      responses[i] = std::move(states[i].response);
-    }
-  }
-  if (stats != nullptr) {
-    std::lock_guard<std::mutex> lock(shared->mu);
-    *stats = shared->stats;
-  }
-  return responses;
+  return SubmitShared(batch, nullptr, true).Take(stats);
 }
 
 }  // namespace binchain

@@ -16,11 +16,20 @@
 // that fires (on the worker that finishes last) with the batch aggregates.
 // The queue has a configurable high-water mark: submissions past it are
 // answered immediately with StatusCode::kOverloaded instead of queueing
-// without bound. The blocking Eval/EvalBatch calls share the same
-// lifecycle (states, tokens, aggregates) but dispatch as claim-cursor
-// runner tasks — at most one per worker — with backpressure (waiting for
-// queue room) rather than shedding, so batch clients keep their
-// all-queries-answered contract and pay no per-query queue traffic.
+// without bound. The blocking Eval/EvalBatch calls are thin wrappers over
+// the same submission core; they wait for queue room (backpressure)
+// instead of shedding, so batch clients keep their all-queries-answered
+// contract.
+//
+// Identical queries are not evaluated twice at the same time. A flight
+// table keyed by (RequestKey, epoch) records every evaluation the pool has
+// accepted; an identical submission on the same epoch — from the same
+// batch, another batch, or another client — parks on that flight and
+// replays its answer (trace.collapsed) instead of evaluating again, unless
+// its own deadline is tighter than the flight's. If the flight's leader is
+// cancelled or runs out of time, one waiter takes the evaluation over.
+// This holds with the answer cache on or off; the cache only adds reuse
+// of finished answers.
 //
 // Every request carries a CancelToken for its whole lifetime: a deadline
 // armed at submission, and a flag flipped by QueryFuture::Cancel() (or by
@@ -49,10 +58,13 @@
 #ifndef BINCHAIN_SERVICE_QUERY_SERVICE_H_
 #define BINCHAIN_SERVICE_QUERY_SERVICE_H_
 
+#include <array>
 #include <atomic>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "datalog/ast.h"
@@ -146,8 +158,8 @@ struct QueryRequest {
   /// Streaming: when set, newly derived answer chunks are delivered to
   /// this sink *while the evaluation runs* (on the worker thread), shaped
   /// per the binding pattern; QueryResponse::tuples still carries the
-  /// complete sorted set at the end. Replayed answers (cache hits,
-  /// single-flight waiters, dedup followers) arrive as one chunk.
+  /// complete sorted set at the end. Replayed answers (cache hits, flight
+  /// waiters) arrive as one chunk.
   /// Borrowed: must stay alive until the response is observable (the
   /// future completed / the blocking call returned). Never part of the
   /// request's cache identity.
@@ -271,12 +283,11 @@ struct QueryServiceOptions {
   double slow_query_log_min_ms = 0;
   uint64_t slow_query_log_sample = 1;
   /// Answer-cache byte budget; 0 (the default) disables the cache
-  /// entirely — no lookups, no single-flight table, behavior identical to
-  /// pre-cache builds. When set, exact-match repeats are served on the
-  /// caller thread (bypassing the submission queue), concurrent identical
-  /// misses collapse onto one evaluation, and publishes invalidate only
-  /// the entries whose supporting relations changed (see
-  /// cache::AnswerCache).
+  /// entirely. When set, exact-match repeats are served on the caller
+  /// thread (bypassing the submission queue), and publishes invalidate
+  /// only the entries whose supporting relations changed (see
+  /// cache::AnswerCache). Concurrent identical requests collapse onto one
+  /// evaluation either way (the service's flight table).
   size_t answer_cache_bytes = 0;
 };
 
@@ -460,16 +471,26 @@ class QueryService {
   QueryResponse Eval(const QueryRequest& request);
 
   /// Evaluates a batch, blocking; the response vector is indexed like
-  /// `batch`. Dispatched as claim-cursor runner tasks (at most one per
-  /// worker) rather than per-query submissions, so large blocking batches
-  /// pay no per-query queue traffic and never shed; deadlines and
-  /// EvalStats semantics are identical to the async path. Safe to call
-  /// from multiple client threads — batches queue FIFO.
+  /// `batch`. SubmitBatch with backpressure in place of shedding: it waits
+  /// for queue room and never answers kOverloaded. Deadlines, flights and
+  /// EvalStats semantics are those of the async path. Safe to call from
+  /// multiple client threads — queries queue FIFO.
   std::vector<QueryResponse> EvalBatch(const std::vector<QueryRequest>& batch,
                                        BatchStats* stats = nullptr);
 
  private:
   struct Worker;
+  /// One shard of the flight table: the leaders of the flights whose
+  /// (epoch, RequestKey) hash lands here, each beside that hash. Scanned
+  /// linearly — at most queue_depth + num_threads flights exist at once,
+  /// split over the shards — so registering a flight allocates nothing.
+  /// Sharded so that workers finishing different queries do not contend
+  /// on one lock.
+  struct alignas(64) FlightShard {
+    std::mutex mu;
+    std::vector<std::pair<size_t, AsyncQueryState*>> leaders;
+  };
+  static constexpr size_t kFlightShards = 16;
 
   /// Shared construction tail: plan + workers. Returns false on failure
   /// (init_status_ is set).
@@ -493,13 +514,14 @@ class QueryService {
   /// pin), with the epoch acquired now.
   std::shared_ptr<BatchShared> MakeBatchShared(size_t queries);
 
-  /// Async submission tail: wraps `batch` into future states under one
-  /// BatchHandle, one queued task per query, shedding with kOverloaded
-  /// past the high-water mark. (The blocking EvalBatch does not go through
-  /// here — it enqueues claim-cursor runner tasks instead, keeping
-  /// per-query queue/allocation traffic off the batch hot path.)
+  /// The one submission core behind Submit/SubmitBatch/Eval/EvalBatch:
+  /// wraps `batch` into future states under one BatchHandle and, past
+  /// admission and the cache, hands each query to Dispatch. `blocking`
+  /// waits for queue room instead of shedding, and parks each later copy
+  /// of a key on the batch's first copy before dispatching, so a blocking
+  /// batch evaluates each distinct key once however fast workers finish.
   BatchHandle SubmitShared(std::vector<QueryRequest> batch,
-                           BatchCallback on_complete);
+                           BatchCallback on_complete, bool blocking);
 
   /// Evaluates one claimed query on worker `worker_id`'s context, writing
   /// the response into its state.
@@ -530,26 +552,31 @@ class QueryService {
   /// batch's epoch.
   void MaybeCacheInsert(AsyncQueryState& q);
 
-  /// Post-evaluation fan-out seam, run on the worker right after RunOne
-  /// (before CompleteQuery): cache insert, then replay the answer to this
-  /// query's in-batch dedup followers and single-flight waiters. Each
-  /// recipient's own token is honored (cancelled/expired recipients get
-  /// their own failure), and if the leader itself failed the recipients
-  /// are evaluated for real, inline on this worker.
-  void FinishEval(size_t worker_id, AsyncQueryState& q);
+  /// Worker tail of an evaluation, right after RunOne: cache insert, end
+  /// the flight, replay the answer to every parked waiter, and complete
+  /// each waiter and then `q`. If `q` failed on its own token (cancelled
+  /// or deadline), its waiters still want the answer: the live waiter
+  /// with the earliest deadline leads the flight next, the others stay
+  /// parked on it, and it is evaluated here, after `q` has completed.
+  void FinishEval(size_t worker_id, std::shared_ptr<AsyncQueryState> q);
 
-  /// One fan-out recipient: replay `leader`'s answer into `w`
-  /// (trace.collapsed), or evaluate `w` inline when its token tripped is
-  /// moot — token failures answer without work, leader failures evaluate.
-  void FanOutOne(size_t worker_id, const AsyncQueryState& leader,
-                 AsyncQueryState& w);
+  /// One fan-out recipient: its own cancelled/expired token answers it
+  /// without work; otherwise it replays `leader`'s response
+  /// (trace.collapsed).
+  void FanOutOne(const AsyncQueryState& leader, AsyncQueryState& w);
 
-  /// Async dispatch tail shared by SubmitShared and the flight-dissolve
-  /// path: enqueues the evaluate/fan-out/complete task, or sheds with
-  /// kOverloaded past the high-water mark — draining the query's dedup
-  /// followers and re-dispatching its flight waiters so nobody waits on a
-  /// leader that never ran.
-  void DispatchOrShed(std::shared_ptr<AsyncQueryState> state);
+  /// The one dispatch path. Parks `state` (with any copies its batch
+  /// already parked on it) on the flight of an identical query on the same
+  /// epoch if there is one whose deadline comes no later than its own:
+  /// waiting must not cost a request its budget. Otherwise, if no flight
+  /// exists, `state` leads a new one: it is registered and handed to the
+  /// pool in one step under the shard lock, so a request the full queue
+  /// sheds with kOverloaded never has waiters. A request with a tighter
+  /// deadline than the running flight's evaluates on its own,
+  /// unregistered. `blocking` waits for room instead of shedding.
+  void Dispatch(std::shared_ptr<AsyncQueryState> state, bool blocking);
+
+  FlightShard& ShardOf(const AsyncQueryState& q);
 
   /// Admission gate shared by every submission path: init_status_ when
   /// construction failed, kUnavailable while the recovery gate is closed,
@@ -583,6 +610,12 @@ class QueryService {
   /// RequestKey prefix: the plan fingerprint as 16 hex chars + separator,
   /// precomputed once in Init.
   std::string cache_key_prefix_;
+  /// The flight table: one entry per evaluation accepted by the pool and
+  /// not yet finished, keyed by (epoch, RequestKey). An entry points at
+  /// its leader, which outlives it (FinishEval removes it before the
+  /// leader completes). Declared before pool_ so the draining workers
+  /// finish every flight before it dies.
+  std::array<FlightShard, kFlightShards> flight_shards_;
   std::unique_ptr<ThreadPool> pool_;
 };
 

@@ -51,6 +51,10 @@ class CancelToken {
   }
 
   bool has_deadline() const { return has_deadline_; }
+  /// The armed deadline; time_point::max() when none is armed.
+  Clock::time_point deadline() const {
+    return has_deadline_ ? deadline_ : Clock::time_point::max();
+  }
 
   bool Expired() const {
     return has_deadline_ && Clock::now() >= deadline_;

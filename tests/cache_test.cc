@@ -8,6 +8,7 @@
 // optimization, never a semantics change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <thread>
@@ -285,6 +286,53 @@ TEST(AnswerCacheTest, SingleFlightCollapsesConcurrentIdenticalSubmits) {
   EXPECT_GE(snap.collapsed + snap.hits, 1u);
   EXPECT_GE(snap.collapsed, 1u);
   EXPECT_LE(snap.inserts, 2u);  // the leader (+ at most a rare straggler)
+}
+
+// Flights are keyed by (key, epoch). A leader still evaluating epoch E
+// must not capture an identical request that acquired epoch E+1 (its
+// answer would be the wrong epoch's), while identical E+1 requests still
+// collapse onto each other.
+TEST(AnswerCacheTest, FlightsAreKeyedByEpochAcrossAPublish) {
+  auto genesis = std::make_unique<Database>();
+  // Fig 7(b) at n = 1024: one bound query runs for hundreds of ms, so the
+  // epoch-0 leader is provably still in flight across the publish.
+  std::string source = workloads::Fig7b(*genesis, 1024);
+  Program program =
+      ParseProgram(workloads::SgProgramText(), genesis->symbols()).take();
+  SnapshotManager manager(std::move(genesis));
+  QueryService::Options opts;
+  opts.num_threads = 1;
+  opts.answer_cache_bytes = 1 << 20;
+  QueryService service(&manager, program, opts);
+  ASSERT_TRUE(service.status().ok()) << service.status().message();
+
+  const QueryRequest req = Req("sg", source);
+  QueryFuture old_epoch = service.Submit(req);
+  while (service.pending() != 0) std::this_thread::yield();
+
+  // sg(a1, z) :- flat(a1, z): a new answer exists only from epoch 1 on.
+  manager.AddFact("flat", {source, "z"});
+  ASSERT_TRUE(manager.Publish().status.ok());
+  // Two separate submissions, so only the flight table can collapse them.
+  QueryFuture first = service.Submit(req);
+  QueryFuture second = service.Submit(req);
+  old_epoch.Cancel();
+
+  QueryResponse old_resp = old_epoch.Take();
+  EXPECT_EQ(old_resp.epoch, 0u);
+  std::vector<QueryResponse> fresh;
+  fresh.push_back(first.Take());
+  fresh.push_back(second.Take());
+  const SymbolId z = *manager.Acquire()->symbols().Find("z");
+  for (const QueryResponse& r : fresh) {
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.epoch, 1u);
+    EXPECT_TRUE(std::any_of(r.tuples.begin(), r.tuples.end(),
+                            [&](const Tuple& t) { return t[1] == z; }));
+  }
+  EXPECT_FALSE(fresh[0].trace.collapsed);
+  EXPECT_TRUE(fresh[1].trace.collapsed);
+  EXPECT_EQ(fresh[1].tuples, fresh[0].tuples);
 }
 
 // The cache must be invisible in the results: a cache-on service and a

@@ -435,8 +435,14 @@ TEST(TraceSpanTest, QueuedCancelledAndShedQueriesProduceCompleteSpans) {
   // completion.
   QueryFuture running = service.Submit(req);
   while (service.pending() != 0) std::this_thread::yield();
-  QueryFuture queued = service.Submit(req);
-  QueryFuture shed = service.Submit(req);
+  // Distinct iteration caps, far above need, give the other two requests
+  // distinct keys; identical ones would park on the running flight.
+  QueryRequest queued_req = req;
+  queued_req.options.max_iterations = 1 << 20;
+  QueryRequest shed_req = req;
+  shed_req.options.max_iterations = 1 << 21;
+  QueryFuture queued = service.Submit(queued_req);
+  QueryFuture shed = service.Submit(shed_req);
   queued.Cancel();
   running.Cancel();
 

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "datalog/parser.h"
+#include "obs/metrics.h"
 #include "service/query_service.h"
 #include "service/thread_pool.h"
 #include "workloads/workloads.h"
@@ -355,9 +356,13 @@ struct LongQueryRig {
   std::string source;
   Program program;
   LongQueryRig() : source(workloads::Fig7b(db, 1024)), program(SgProgram(db)) {}
-  QueryRequest Request(double deadline_ms = 0) const {
+  /// A nonzero `variant` sets a distinct iteration cap far above what the
+  /// query needs: same answer, distinct key, so the request queues instead
+  /// of parking on an identical request's flight.
+  QueryRequest Request(double deadline_ms = 0, size_t variant = 0) const {
     QueryRequest req{"sg", source, "", {}};
     req.options.deadline_ms = deadline_ms;
+    if (variant > 0) req.options.max_iterations = size_t{1} << (20 + variant);
     return req;
   }
 };
@@ -464,12 +469,12 @@ TEST(AsyncServiceTest, QueueOverloadShedsWithKOverloaded) {
   // Park the single worker on a long query and fill the 2-deep queue.
   QueryFuture running = service.Submit(rig.Request());
   while (service.pending() != 0) std::this_thread::yield();
-  QueryFuture queued1 = service.Submit(rig.Request());
-  QueryFuture queued2 = service.Submit(rig.Request());
+  QueryFuture queued1 = service.Submit(rig.Request(0, 1));
+  QueryFuture queued2 = service.Submit(rig.Request(0, 2));
   EXPECT_EQ(service.pending(), 2u);
 
   // Past the high-water mark: shed immediately, future already completed.
-  QueryFuture shed = service.Submit(rig.Request());
+  QueryFuture shed = service.Submit(rig.Request(0, 3));
   EXPECT_TRUE(shed.Ready());
   QueryResponse shed_resp = shed.Take();
   EXPECT_EQ(shed_resp.status.code(), StatusCode::kOverloaded);
@@ -555,7 +560,7 @@ TEST(AsyncServiceTest, DeadlineBudgetIncludesQueueTime) {
   // expire before pickup.
   QueryFuture running = service.Submit(rig.Request());
   while (service.pending() != 0) std::this_thread::yield();
-  QueryFuture starved = service.Submit(rig.Request(/*deadline_ms=*/5));
+  QueryFuture starved = service.Submit(rig.Request(/*deadline_ms=*/5, 1));
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   running.Cancel();
   running.Wait();
@@ -603,6 +608,289 @@ TEST(AsyncServiceTest, BlockingBatchBackpressuresInsteadOfShedding) {
   EXPECT_EQ(stats.failed, 0u);
   EXPECT_EQ(stats.overloaded, 0u);
   for (const QueryResponse& r : responses) EXPECT_TRUE(r.status.ok());
+}
+
+// A request becomes a flight's leader only once the pool has accepted it,
+// so a shed request never has waiters: with the queue full, both copies of
+// a duplicate are shed and no flight is left behind; with one free slot,
+// the first copy is admitted and the second replays it.
+TEST(AsyncServiceTest, FullQueueShedsBothCopiesAndLeavesNoFlight) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, {1, 1});
+  ASSERT_TRUE(service.status().ok());
+  QueryRequest cheap{"sg", rig.source, rig.source, {}};
+  cheap.options.max_iterations = 1;
+
+  // Park the worker, then fill the one-slot queue.
+  QueryFuture running = service.Submit(rig.Request());
+  while (service.pending() != 0) std::this_thread::yield();
+  QueryFuture queued = service.Submit(rig.Request(0, 1));
+  ASSERT_EQ(service.pending(), 1u);
+
+  BatchHandle full = service.SubmitBatch({cheap, cheap});
+  for (size_t i = 0; i < 2; ++i) {
+    ASSERT_TRUE(full.future(i).Ready()) << i;  // answered at submission
+  }
+  BatchStats full_stats;
+  for (const QueryResponse& r : full.Take(&full_stats)) {
+    EXPECT_EQ(r.status.code(), StatusCode::kOverloaded);
+    EXPECT_FALSE(r.trace.collapsed);
+  }
+  EXPECT_EQ(full_stats.overloaded, 2u);
+
+  running.Cancel();
+  queued.Cancel();
+  running.Wait();
+  queued.Wait();
+
+  // Park the worker again, this time with the queue slot free.
+  QueryFuture parked = service.Submit(rig.Request(0, 2));
+  while (service.pending() != 0) std::this_thread::yield();
+  BatchHandle one_free = service.SubmitBatch({cheap, cheap});
+  parked.Cancel();
+  BatchStats stats;
+  std::vector<QueryResponse> responses = one_free.Take(&stats);
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  ASSERT_TRUE(responses[0].status.ok()) << responses[0].status.message();
+  ASSERT_TRUE(responses[1].status.ok()) << responses[1].status.message();
+  EXPECT_FALSE(responses[0].trace.collapsed);
+  EXPECT_TRUE(responses[1].trace.collapsed);
+  EXPECT_EQ(responses[1].tuples, responses[0].tuples);
+  parked.Wait();
+
+  // Nothing stayed parked on a shed copy: a later identical request leads
+  // its own flight and completes.
+  QueryFuture later = service.Submit(cheap);
+  ASSERT_TRUE(later.WaitFor(10000));
+  QueryResponse lr = later.Take();
+  EXPECT_TRUE(lr.status.ok());
+  EXPECT_FALSE(lr.trace.collapsed);
+  EXPECT_EQ(lr.tuples, responses[0].tuples);
+}
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name, "")->Value();
+}
+
+// The flight table exists with the cache off: concurrent identical
+// submissions collapse onto one evaluation, and the engine_* registry
+// family counts only the evaluations that actually ran.
+TEST(AsyncServiceTest, CacheOffCollapsesConcurrentIdenticalSubmits) {
+  Database db;
+  std::string source = workloads::Fig7b(db, 512);
+  QueryService service(&db, SgProgram(db), {4, 64});
+  ASSERT_TRUE(service.status().ok());
+  ASSERT_EQ(service.answer_cache(), nullptr);
+  const uint64_t fetches0 = CounterValue("binchain_engine_fetches_total");
+  const uint64_t nodes0 = CounterValue("binchain_engine_node_expansions_total");
+  const uint64_t collapsed0 = CounterValue("binchain_cache_collapsed_total");
+
+  constexpr size_t kClients = 8;
+  const QueryRequest req{"sg", source, "", {}};
+  std::vector<QueryResponse> responses(kClients);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (size_t i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      responses[i] = service.Submit(req).Take();
+    });
+  }
+  go = true;
+  for (std::thread& t : clients) t.join();
+
+  uint64_t ran_fetches = 0, ran_nodes = 0, collapsed = 0;
+  for (const QueryResponse& r : responses) {
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.tuples, responses[0].tuples);
+    EXPECT_EQ(r.stats.nodes, responses[0].stats.nodes);
+    if (r.trace.collapsed) {
+      ++collapsed;
+    } else {
+      ran_fetches += r.fetches;
+      ran_nodes += r.stats.nodes;
+    }
+  }
+  EXPECT_GE(collapsed, 1u);
+  EXPECT_EQ(CounterValue("binchain_cache_collapsed_total") - collapsed0,
+            collapsed);
+  EXPECT_EQ(CounterValue("binchain_engine_fetches_total") - fetches0,
+            ran_fetches);
+  EXPECT_EQ(CounterValue("binchain_engine_node_expansions_total") - nodes0,
+            ran_nodes);
+  EXPECT_LT(ran_nodes, kClients * responses[0].stats.nodes);
+}
+
+// A blocking batch may park on a flight an async submission leads; it
+// still waits for queue room for everything else and never sheds.
+TEST(AsyncServiceTest, BlockingBatchJoiningAnAsyncFlightNeverSheds) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, {1, 1});
+  ASSERT_TRUE(service.status().ok());
+  QueryRequest cheap{"sg", rig.source, rig.source, {}};
+  cheap.options.max_iterations = 1;
+
+  QueryFuture leader = service.Submit(rig.Request());
+  while (service.pending() != 0) std::this_thread::yield();
+  QueryFuture queued = service.Submit(rig.Request(0, 1));  // queue now full
+
+  BatchStats stats;
+  std::vector<QueryResponse> responses;
+  std::thread client([&] {
+    responses = service.EvalBatch({rig.Request(), rig.Request(), cheap},
+                                  &stats);
+  });
+  queued.Cancel();  // makes room for `cheap` once the leader is done
+  QueryResponse lr = leader.Take();
+  client.join();
+  ASSERT_TRUE(lr.status.ok());
+  EXPECT_EQ(stats.overloaded, 0u);
+  EXPECT_EQ(stats.failed, 0u);
+  ASSERT_EQ(responses.size(), 3u);
+  for (const QueryResponse& r : responses) {
+    EXPECT_TRUE(r.status.ok()) << r.status.message();
+  }
+  EXPECT_TRUE(responses[0].trace.collapsed);
+  EXPECT_TRUE(responses[1].trace.collapsed);
+  EXPECT_EQ(responses[0].tuples, lr.tuples);
+  EXPECT_EQ(responses[1].tuples, lr.tuples);
+}
+
+// A blocking batch evaluates each distinct key once, however fast the
+// workers finish the first copies: later copies are parked before any copy
+// is dispatched.
+TEST(ServiceTest, BlockingBatchEvaluatesEachDistinctKeyOnce) {
+  Database db;
+  workloads::Fig8(db, 17, 19);
+  QueryService service(&db, SgProgram(db), {8});
+  ASSERT_TRUE(service.status().ok());
+  QueryOptions options;
+  options.use_cyclic_bound = true;
+  const std::vector<QueryRequest> distinct = AllSourcesBatch(db, options);
+  std::vector<QueryRequest> batch;
+  for (int copy = 0; copy < 4; ++copy) {
+    batch.insert(batch.end(), distinct.begin(), distinct.end());
+  }
+  for (int rep = 0; rep < 5; ++rep) {
+    std::vector<QueryResponse> responses = service.EvalBatch(batch);
+    size_t evaluated = 0;
+    for (size_t i = 0; i < responses.size(); ++i) {
+      ASSERT_TRUE(responses[i].status.ok());
+      EXPECT_EQ(responses[i].tuples, responses[i % distinct.size()].tuples);
+      evaluated += !responses[i].trace.collapsed;
+    }
+    EXPECT_EQ(evaluated, distinct.size()) << "rep " << rep;
+  }
+}
+
+// A leader cancelled mid-flight completes at once, and its waiters cost one
+// more evaluation, not one each: the first live waiter takes the flight
+// over and the others replay its answer.
+TEST(AsyncServiceTest, CancelledLeaderHandsItsFlightToOneWaiter) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, {2, 64});
+  ASSERT_TRUE(service.status().ok());
+  ASSERT_EQ(service.answer_cache(), nullptr);
+  auto t0 = std::chrono::steady_clock::now();
+  QueryResponse full = service.Eval(rig.Request());
+  const double uncancelled_ms = MsSince(t0);
+  ASSERT_TRUE(full.status.ok());
+
+  const uint64_t nodes0 = CounterValue("binchain_engine_node_expansions_total");
+  QueryFuture leader = service.Submit(rig.Request());
+  while (service.pending() != 0) std::this_thread::yield();
+  constexpr size_t kWaiters = 4;
+  std::vector<QueryFuture> waiters;
+  for (size_t i = 0; i < kWaiters; ++i) {
+    waiters.push_back(service.Submit(rig.Request()));
+  }
+  EXPECT_EQ(service.pending(), 0u);  // all parked, none queued
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+
+  t0 = std::chrono::steady_clock::now();
+  leader.Cancel();
+  QueryResponse lr = leader.Take();
+  const double cancel_ms = MsSince(t0);
+  EXPECT_EQ(lr.status.code(), StatusCode::kCancelled);
+  EXPECT_LT(cancel_ms, uncancelled_ms / 2)
+      << "uncancelled=" << uncancelled_ms << "ms cancel=" << cancel_ms;
+
+  size_t evaluated = 0;
+  uint64_t ran_nodes = lr.stats.nodes;
+  for (QueryFuture& f : waiters) {
+    QueryResponse r = f.Take();
+    ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_EQ(r.tuples, full.tuples);
+    if (!r.trace.collapsed) {
+      ++evaluated;
+      ran_nodes += r.stats.nodes;
+    }
+  }
+  EXPECT_EQ(evaluated, 1u);
+  EXPECT_EQ(CounterValue("binchain_engine_node_expansions_total") - nodes0,
+            ran_nodes);
+}
+
+// Waiting on a flight must not cost a request its deadline: a request with
+// a tighter budget than the running identical query evaluates on its own
+// and stops at about its deadline.
+TEST(AsyncServiceTest, ShortDeadlineRequestDoesNotWaitOnALongerFlight) {
+  LongQueryRig rig;
+  QueryService service(&rig.db, rig.program, {2, 64});
+  ASSERT_TRUE(service.status().ok());
+  auto t0 = std::chrono::steady_clock::now();
+  QueryResponse full = service.Eval(rig.Request());
+  const double uncancelled_ms = MsSince(t0);
+  ASSERT_TRUE(full.status.ok());
+
+  QueryFuture leader = service.Submit(rig.Request());
+  while (service.pending() != 0) std::this_thread::yield();
+  const double deadline_ms =
+      std::max(5.0, std::min(50.0, uncancelled_ms / 8));
+  t0 = std::chrono::steady_clock::now();
+  QueryResponse cut = service.Submit(rig.Request(deadline_ms)).Take();
+  const double cut_ms = MsSince(t0);
+  EXPECT_EQ(cut.status.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(cut.partial);  // it evaluated, and stopped mid-flight
+  EXPECT_FALSE(cut.trace.collapsed);
+  EXPECT_LT(cut_ms, uncancelled_ms / 2)
+      << "uncancelled=" << uncancelled_ms << "ms deadline=" << deadline_ms
+      << "ms took=" << cut_ms;
+
+  QueryResponse lr = leader.Take();
+  EXPECT_TRUE(lr.status.ok());
+  EXPECT_EQ(lr.tuples, full.tuples);
+}
+
+// Request keys length-prefix the caller's strings: requests whose fields
+// differ only in where a separator-like byte falls never share a flight.
+TEST(AsyncServiceTest, SeparatorBytesInArgumentsDoNotCollideKeys) {
+  LongQueryRig rig;
+  rig.db.AddFact("flat", {"b\x1f" "c", "x"});
+  rig.db.AddFact("flat", {"b", "c\x1f"});
+  QueryService service(&rig.db, rig.program, {1, 64});
+  ASSERT_TRUE(service.status().ok());
+
+  // Hold the one worker so both requests are in flight together.
+  QueryFuture running = service.Submit(rig.Request());
+  while (service.pending() != 0) std::this_thread::yield();
+  QueryFuture first = service.Submit({"sg", "b\x1f" "c", "", {}});
+  QueryFuture second = service.Submit({"sg", "b", "c\x1f", {}});
+  EXPECT_EQ(service.pending(), 2u);  // neither parked on the other
+  running.Cancel();
+
+  QueryResponse r1 = first.Take();
+  QueryResponse r2 = second.Take();
+  ASSERT_TRUE(r1.status.ok()) << r1.status.message();
+  ASSERT_TRUE(r2.status.ok()) << r2.status.message();
+  EXPECT_FALSE(r2.trace.collapsed);
+  const SymbolTable& symbols = service.database().symbols();
+  ASSERT_EQ(r1.tuples.size(), 1u);
+  ASSERT_EQ(r2.tuples.size(), 1u);
+  EXPECT_EQ(symbols.Name(r1.tuples[0][1]), "x");
+  EXPECT_EQ(symbols.Name(r2.tuples[0][0]), "b");
+  EXPECT_EQ(symbols.Name(r2.tuples[0][1]), "c\x1f");
 }
 
 TEST(ServiceTest, ConcurrentClientBatches) {
