@@ -90,14 +90,17 @@ struct BenchResult {
   uint64_t tuples = 0;   // sanity: must match across thread counts and PRs
   uint64_t fetches = 0;  // aggregate t-cost, deterministic per batch
   uint64_t memo_hits = 0;  // probes served by the epoch-shared artifacts
-  double startup_ms = 0;  // service construction (plan + workers + freeze)
-  double wall_ms = 0;    // best-of-reps batch wall time
-  double qps = 0;        // queries / second at the best rep (blocking path)
+  double startup_ms = 0;  // service construction (plan + freeze + artifacts)
+  size_t reps = 0;       // timed blocking reps behind wall_ms / qps
+  double wall_ms = 0;    // median batch wall time over the reps
+  double qps = 0;        // queries / second at the median rep (blocking)
+  double qps_min = 0;    // slowest rep
+  double qps_max = 0;    // fastest rep
   double async_qps = 0;  // same batch through SubmitBatch + futures
   double speedup = 1;    // vs the 1-thread run of the same batch
-  // Per-query latency percentiles over every query of this run (all reps,
-  // blocking + async), read back from the service's own
-  // binchain_service_latency_ms registry histogram.
+  // Per-query latency percentiles over one untimed blocking rep and the
+  // async rep, read back from the service's own binchain_service_latency_ms
+  // registry histogram.
   double p50_ms = 0;
   double p95_ms = 0;
   double p99_ms = 0;
@@ -221,87 +224,115 @@ std::unique_ptr<Batch> MakeFig8Batch(size_t m, size_t n, int overlap) {
   return b;
 }
 
-/// Runs the batch at `threads` on a service over the (shared, frozen-after-
-/// first-service) database; fills throughput numbers and compares result
-/// sets against `reference` (the 1-thread responses) when given.
-BenchResult RunBatch(Batch& batch, size_t threads, int reps,
-                     const std::vector<QueryResponse>* reference,
-                     std::vector<QueryResponse>* out_responses) {
-  BenchResult r;
-  r.name = batch.label + "/threads=" + std::to_string(threads);
-  r.threads = threads;
-  r.queries = batch.requests.size();
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n == 0 ? 0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
+}
 
-  // The registry is process-global and cumulative; zero it per run so the
-  // latency histogram read back below covers exactly this run's queries.
-  obs::Registry::Global().ResetForTest();
-
-  QueryService::Options opts;
-  opts.num_threads = threads;
-  // Async submission below pushes the whole batch at once; keep the
-  // high-water mark above the batch so admission never sheds here.
-  opts.queue_depth = std::max<size_t>(1024, batch.requests.size());
-  // Startup cost: with the shared plan, program transformation and machine
-  // compilation happen once, so this should stay flat as threads grow.
-  auto ts = std::chrono::steady_clock::now();
-  QueryService service(batch.db.get(), batch.program, opts);
-  r.startup_ms = MsSince(ts);
-  if (!service.status().ok()) {
-    r.ok = false;
-    r.error = service.status().message();
-    return r;
+/// Runs the batch at every thread count, one service each over the
+/// (shared, frozen-after-first-service) database. The timed blocking reps
+/// run in rounds that visit every thread count, in an order that reverses
+/// from round to round, so host drift and turn-order effects hit all thread
+/// counts alike; `qps` is the median rep's, with the slowest and fastest
+/// beside it. A best-of-few figure swings by ±10% between runs on a shared
+/// host. Result sets are compared against the first thread count's.
+std::vector<BenchResult> RunBatchSweep(Batch& batch,
+                                       const std::vector<size_t>& threads,
+                                       int reps) {
+  constexpr int kMinReps = 15;
+  const size_t rounds = static_cast<size_t>(std::max(kMinReps, reps));
+  std::vector<BenchResult> results(threads.size());
+  for (size_t ti = 0; ti < threads.size(); ++ti) {
+    results[ti].name = batch.label + "/threads=" + std::to_string(threads[ti]);
+    results[ti].threads = threads[ti];
+    results[ti].queries = batch.requests.size();
+    results[ti].reps = rounds;
+  }
+  // Any failure fails the whole sweep: its figures are no longer a set.
+  auto fail = [&results](const std::string& why) {
+    for (BenchResult& r : results) {
+      r.ok = false;
+      r.error = why;
+    }
+    return results;
+  };
+  std::vector<std::unique_ptr<QueryService>> services(threads.size());
+  for (size_t ti = 0; ti < threads.size(); ++ti) {
+    BenchResult& r = results[ti];
+    QueryService::Options opts;
+    opts.num_threads = threads[ti];
+    // Async submission below pushes the whole batch at once; keep the
+    // high-water mark above the batch so admission never sheds here.
+    opts.queue_depth = std::max<size_t>(1024, batch.requests.size());
+    // Startup cost: with the shared plan, program transformation and
+    // machine compilation happen once, so this should stay flat as threads
+    // grow.
+    auto ts = std::chrono::steady_clock::now();
+    services[ti] =
+        std::make_unique<QueryService>(batch.db.get(), batch.program, opts);
+    r.startup_ms = MsSince(ts);
+    if (!services[ti]->status().ok()) {
+      return fail(services[ti]->status().message());
+    }
   }
 
-  r.wall_ms = 1e300;
-  std::vector<QueryResponse> responses;
-  for (int i = 0; i < reps; ++i) {
-    BatchStats stats;
-    auto t0 = std::chrono::steady_clock::now();
-    responses = service.EvalBatch(batch.requests, &stats);
-    double ms = MsSince(t0);
-    if (stats.failed != 0) {
-      for (const QueryResponse& resp : responses) {
-        if (!resp.status.ok()) {
-          r.ok = false;
-          r.error = resp.status.message();
-          return r;
-        }
+  std::vector<std::vector<double>> walls(threads.size());
+  std::vector<std::vector<QueryResponse>> responses(threads.size());
+  for (size_t round = 0; round < rounds; ++round) {
+    for (size_t k = 0; k < threads.size(); ++k) {
+      const size_t ti = round % 2 == 0 ? k : threads.size() - 1 - k;
+      BenchResult& r = results[ti];
+      BatchStats stats;
+      auto t0 = std::chrono::steady_clock::now();
+      responses[ti] = services[ti]->EvalBatch(batch.requests, &stats);
+      walls[ti].push_back(MsSince(t0));
+      for (const QueryResponse& resp : responses[ti]) {
+        if (!resp.status.ok()) return fail(resp.status.message());
       }
-    }
-    if (ms < r.wall_ms) {
-      r.wall_ms = ms;
       r.tuples = stats.tuples;
       r.fetches = stats.fetches;
       r.memo_hits = stats.total.memo_hits;
     }
   }
-  r.qps = r.wall_ms > 0 ? 1000.0 * static_cast<double>(r.queries) / r.wall_ms
-                        : 0;
-  for (const QueryResponse& resp : responses) r.status.Count(resp.status);
-  r.result_hash = HashResponses(responses);
 
-  // One async rep: the same batch through SubmitBatch + futures. Results
-  // must be identical to the blocking path (same workers, same epoch);
-  // wall time includes future wakeups, so async_qps vs qps is the price
-  // of the future-based surface.
-  {
-    auto t0 = std::chrono::steady_clock::now();
-    BatchHandle handle = service.SubmitBatch(batch.requests);
-    BatchStats astats;
-    std::vector<QueryResponse> aresp = handle.Take(&astats);
-    double ms = MsSince(t0);
-    r.async_qps =
-        ms > 0 ? 1000.0 * static_cast<double>(r.queries) / ms : 0;
-    if (astats.failed != 0 || HashResponses(aresp) != r.result_hash) {
-      r.ok = false;
-      r.error = "async submission diverged from blocking batch";
-      return r;
+  auto qps_at = [&batch](double ms) {
+    return ms > 0 ? 1000.0 * static_cast<double>(batch.requests.size()) / ms
+                  : 0;
+  };
+  for (size_t ti = 0; ti < threads.size(); ++ti) {
+    BenchResult& r = results[ti];
+    QueryService& service = *services[ti];
+    r.wall_ms = Median(walls[ti]);
+    r.qps = qps_at(r.wall_ms);
+    r.qps_min = qps_at(*std::max_element(walls[ti].begin(), walls[ti].end()));
+    r.qps_max = qps_at(*std::min_element(walls[ti].begin(), walls[ti].end()));
+    for (const QueryResponse& resp : responses[ti]) r.status.Count(resp.status);
+    r.result_hash = HashResponses(responses[ti]);
+
+    // The registry is process-global and cumulative; zero it so the
+    // latency histogram read back below covers exactly this service's
+    // untimed blocking rep and its async rep.
+    obs::Registry::Global().ResetForTest();
+    service.EvalBatch(batch.requests);
+
+    // One async rep: the same batch through SubmitBatch + futures. Results
+    // must be identical to the blocking path (same workers, same epoch);
+    // wall time includes future wakeups, so async_qps vs qps is the price
+    // of the future-based surface.
+    {
+      auto t0 = std::chrono::steady_clock::now();
+      BatchHandle handle = service.SubmitBatch(batch.requests);
+      BatchStats astats;
+      std::vector<QueryResponse> aresp = handle.Take(&astats);
+      r.async_qps = qps_at(MsSince(t0));
+      if (astats.failed != 0 || HashResponses(aresp) != r.result_hash) {
+        return fail("async submission diverged from blocking batch");
+      }
     }
-  }
 
-  // Percentiles from the new observability layer rather than a bench-local
-  // sort: the same numbers an operator would scrape off /metrics.
-  {
+    // Percentiles from the observability layer rather than a bench-local
+    // sort: the same numbers an operator would scrape off /metrics.
     obs::HistogramSnapshot lat =
         obs::Registry::Global()
             .GetHistogram("binchain_service_latency_ms",
@@ -310,16 +341,15 @@ BenchResult RunBatch(Batch& batch, size_t threads, int reps,
     r.p50_ms = lat.P50();
     r.p95_ms = lat.P95();
     r.p99_ms = lat.P99();
-  }
 
-  if (reference != nullptr) {
-    r.identical = responses.size() == reference->size();
-    for (size_t i = 0; r.identical && i < responses.size(); ++i) {
-      r.identical = responses[i].tuples == (*reference)[i].tuples;
+    const std::vector<QueryResponse>& reference = responses[0];
+    r.identical = responses[ti].size() == reference.size();
+    for (size_t i = 0; r.identical && i < reference.size(); ++i) {
+      r.identical = responses[ti][i].tuples == reference[i].tuples;
     }
+    if (results[0].qps > 0) r.speedup = r.qps / results[0].qps;
   }
-  if (out_responses != nullptr) *out_responses = std::move(responses);
-  return r;
+  return results;
 }
 
 /// In-flight deadline-enforcement latency: a provably long query (Figure
@@ -431,9 +461,10 @@ StreamingResult RunStreaming(size_t n, int reps) {
     std::chrono::steady_clock::time_point t0;
     double first_ms = -1;
     uint64_t chunks = 0;
-    void OnAnswers(const Tuple*, size_t, const SymbolTable&) override {
+    bool OnAnswers(const Tuple*, size_t, const SymbolTable&) override {
       if (first_ms < 0) first_ms = MsSince(t0);
       ++chunks;
+      return true;
     }
   };
 
@@ -496,12 +527,6 @@ struct ObsOverheadResult {
   bool ok = true;
   std::string error;
 };
-
-double Median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const size_t n = v.size();
-  return n == 0 ? 0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
-}
 
 ObsOverheadResult RunObsOverhead(Batch& batch, size_t threads, int reps) {
   constexpr int kMinPairs = 35;
@@ -881,17 +906,9 @@ int main(int argc, char** argv) {
       ++failures;
       continue;
     }
-    std::vector<QueryResponse> reference;
-    double base_qps = 0;
-    for (size_t ti = 0; ti < thread_counts.size(); ++ti) {
-      // The first entry (by position, so duplicate thread values still get
-      // checked) is the reference run all others are compared against.
-      bool is_reference = ti == 0;
-      BenchResult r = RunBatch(*batch, thread_counts[ti], reps,
-                               is_reference ? nullptr : &reference,
-                               is_reference ? &reference : nullptr);
-      if (is_reference) base_qps = r.qps;
-      if (base_qps > 0) r.speedup = r.qps / base_qps;
+    // The first thread count (by position, so duplicate thread values
+    // still get checked) is the reference all others are compared against.
+    for (BenchResult& r : RunBatchSweep(*batch, thread_counts, reps)) {
       results.push_back(std::move(r));
     }
   }
@@ -929,10 +946,11 @@ int main(int argc, char** argv) {
   if (!invalidation.ok || !invalidation.selective) ++failures;
 
   std::printf(
-      "%-28s %8s %10s %10s %10s %12s %12s %10s %8s %10s %8s %8s %8s %6s\n",
+      "%-28s %8s %10s %10s %10s %12s %12s %12s %12s %10s %8s %10s %8s %8s "
+      "%8s %6s\n",
       "batch", "queries", "tuples", "startup_ms", "wall_ms", "queries/sec",
-      "async_qps", "speedup", "fetches", "memo_hits", "p50_ms", "p95_ms",
-      "p99_ms", "same");
+      "qps_min", "qps_max", "async_qps", "speedup", "fetches", "memo_hits",
+      "p50_ms", "p95_ms", "p99_ms", "same");
   for (const BenchResult& r : results) {
     if (!r.ok) {
       ++failures;
@@ -941,11 +959,11 @@ int main(int argc, char** argv) {
     }
     if (!r.identical) ++failures;
     std::printf(
-        "%-28s %8llu %10llu %10.3f %10.3f %12.1f %12.1f %9.2fx %8llu %10llu "
-        "%8.3f %8.3f %8.3f %6s\n",
+        "%-28s %8llu %10llu %10.3f %10.3f %12.1f %12.1f %12.1f %12.1f "
+        "%9.2fx %8llu %10llu %8.3f %8.3f %8.3f %6s\n",
         r.name.c_str(), static_cast<unsigned long long>(r.queries),
         static_cast<unsigned long long>(r.tuples), r.startup_ms, r.wall_ms,
-        r.qps, r.async_qps, r.speedup,
+        r.qps, r.qps_min, r.qps_max, r.async_qps, r.speedup,
         static_cast<unsigned long long>(r.fetches),
         static_cast<unsigned long long>(r.memo_hits), r.p50_ms, r.p95_ms,
         r.p99_ms, r.identical ? "yes" : "NO");
@@ -1039,7 +1057,9 @@ int main(int argc, char** argv) {
           << (r.ok && r.identical ? "true" : "false")
           << ", \"threads\": " << r.threads << ", \"queries\": " << r.queries
           << ", \"startup_ms\": " << r.startup_ms
-          << ", \"wall_ms\": " << r.wall_ms << ", \"qps\": " << r.qps
+          << ", \"reps\": " << r.reps << ", \"wall_ms\": " << r.wall_ms
+          << ", \"qps\": " << r.qps << ", \"qps_min\": " << r.qps_min
+          << ", \"qps_max\": " << r.qps_max
           << ", \"async_qps\": " << r.async_qps
           << ", \"speedup\": " << r.speedup << ", \"p50_ms\": " << r.p50_ms
           << ", \"p95_ms\": " << r.p95_ms << ", \"p99_ms\": " << r.p99_ms

@@ -59,6 +59,13 @@
 // /readyz, /debug/queries, /debug/epochs, /debug/trace (see
 // src/server/admin_endpoints.h). Port 0 picks an ephemeral port; the
 // bound port is printed as `[admin] listening on ...`.
+//
+// With --serve=<port> (live mode only) the process also runs the data
+// plane, POST /v1/query (docs/wire_protocol.md), on loopback with 4
+// handler threads and --serve-qps=N as the per-client rate limit. Each
+// handler evaluates its own query on its own thread, as the REPL's `?-`
+// does, so the handler count alone bounds concurrent HTTP queries:
+// --threads and --queue-depth size the service's pool, which neither uses.
 #include <sys/stat.h>
 
 #include <cctype>
@@ -210,9 +217,9 @@ int RunLiveRepl(SnapshotManager& manager, QueryService& service,
                 const std::string& wal_dir,
                 std::function<Status()> finish_recovery) {
   std::printf(
-      "[live%s] epoch %llu serving on %zu threads; commands: +fact(...), "
-      "-fact(...), publish, ?- query, epoch, pending, metrics, recover, "
-      "quit\n",
+      "[live%s] epoch %llu serving (pool: %zu threads); commands: "
+      "+fact(...), -fact(...), publish, ?- query, epoch, pending, metrics, "
+      "recover, quit\n",
       wal_dir.empty() ? "" : "/durable",
       static_cast<unsigned long long>(manager.epoch()),
       service.num_threads());

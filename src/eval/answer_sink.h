@@ -24,11 +24,16 @@
 //
 // Both are borrowed for the duration of one evaluation, like
 // EvalOptions::cancel: the caller owns the sink and must keep it alive
-// until the evaluating call returns. Implementations are invoked on the
-// evaluating thread — a service worker, not the submitting thread — and
-// must be safe against whatever the owner does concurrently (the data
-// plane's sink takes a mutex per chunk; per-chunk work should stay small
-// because it runs inside the traversal).
+// until the evaluating call returns. For Submit, implementations are
+// invoked on a pool worker (or, for a request parked on an identical
+// flight, on whichever thread finished that flight); for QueryService::Eval
+// only on the calling thread itself, which replays a parked request's
+// answer after the flight completes. Either way the calls finish before the
+// request's response is observable, so a sink the owner only reads after
+// the blocking call returns needs no lock of its own. Per-chunk work runs
+// inside the traversal, so a chunk must not block: the data plane's sink
+// writes one HTTP chunk per call without waiting on the socket, and keeps
+// what the socket does not take for its handler to send afterwards.
 //
 // Exactly-once: every answer appears in exactly one chunk; chunks are
 // never empty. A cancelled/deadlined evaluation has delivered a valid
@@ -62,7 +67,11 @@ class AnswerTermSink {
 class AnswerSink {
  public:
   virtual ~AnswerSink() = default;
-  virtual void OnAnswers(const Tuple* tuples, size_t count,
+  /// Returns false when the consumer wants no more chunks (its client is
+  /// gone). The query service then cancels the request, and the traversal
+  /// unwinds at its next cancellation point; a bare QueryEngine has no
+  /// token of its own to trip and ignores the result.
+  virtual bool OnAnswers(const Tuple* tuples, size_t count,
                          const SymbolTable& symbols) = 0;
 };
 

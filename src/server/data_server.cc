@@ -6,15 +6,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <limits>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -415,38 +411,78 @@ Status DecodeQueryBody(const std::string& body, QueryRequest* out,
   return Status::Ok();
 }
 
+// ------------------------------------------------------- response framing
+
+std::string ResponseHead(int status, bool keep_alive, bool chunked,
+                         size_t content_length, int retry_after_s = 0) {
+  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
+                     ReasonPhrase(status) +
+                     "\r\nContent-Type: application/x-ndjson\r\n";
+  if (chunked) {
+    head += "Transfer-Encoding: chunked\r\n";
+  } else {
+    head += "Content-Length: " + std::to_string(content_length) + "\r\n";
+  }
+  if (retry_after_s > 0) {
+    head += "Retry-After: " + std::to_string(retry_after_s) + "\r\n";
+  }
+  head += keep_alive ? "Connection: keep-alive\r\n\r\n"
+                     : "Connection: close\r\n\r\n";
+  return head;
+}
+
+bool SendString(int fd, const std::string& bytes) {
+  return SendAll(fd, bytes.data(), bytes.size());
+}
+
+/// A Content-Length response: the head and the body, as two sends.
+bool SendSized(int fd, int status, bool keep_alive, const std::string& body,
+               int retry_after_s = 0) {
+  return SendString(fd, ResponseHead(status, keep_alive, /*chunked=*/false,
+                                     body.size(), retry_after_s)) &&
+         SendString(fd, body);
+}
+
+/// One HTTP chunk: hex size line, payload, CRLF.
+std::string ChunkFrame(const std::string& payload) {
+  char size_line[32];
+  int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n",
+                        payload.size());
+  std::string frame;
+  frame.reserve(payload.size() + n + 2);
+  frame.append(size_line, static_cast<size_t>(n));
+  frame.append(payload);
+  frame.append("\r\n");
+  return frame;
+}
+
+bool SendLastChunk(int fd) { return SendAll(fd, "0\r\n\r\n", 5); }
+
 // ---------------------------------------------------------- answer stream
 
-/// Hand-off buffer between the evaluating worker (the sink's producer
-/// side) and the HTTP handler draining lines to the socket. `done` is set
-/// by the batch completion callback — strictly after the last sink call,
-/// so `done && lines.empty()` means the stream is complete.
-///
-/// Lifetime: always heap-owned through a shared_ptr held by the handler,
-/// the sink, AND the completion callback, and every producer-side notify
-/// happens with `mu` held. Both halves close the same race: the handler
-/// can wake (spuriously, or off an earlier notify), see `done`, and
-/// return — if the callback notified after unlocking a stack-owned
-/// state, it would then touch a destroyed mu/cv. Shared ownership keeps
-/// the state alive past the handler's return; notifying under the lock
-/// means the predicate cannot become observable before the notify has
-/// finished.
-struct StreamState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::deque<std::string> lines;
-  bool done = false;
-};
-
-/// Renders each answer chunk as one NDJSON line. Runs on the evaluating
-/// worker thread; shares ownership of the stream state (see above).
+/// Renders each answer chunk as one NDJSON line and delivers it itself:
+/// streamed, the first chunk sends the 200 chunked head and every chunk is
+/// one HTTP chunk, written as the traversal derives it; buffered, the
+/// lines accumulate into the body. Called only on the handler's own thread
+/// (QueryService::Eval's contract), inside the traversal of an evaluation
+/// that identical requests may be parked on, so a write never waits for
+/// the client: what the socket does not take at once is kept in order and
+/// sent by Flush() after Eval returns.
 class NdjsonSink : public AnswerSink {
  public:
-  explicit NdjsonSink(std::shared_ptr<StreamState> state)
-      : state_(std::move(state)) {}
+  NdjsonSink(int fd, bool stream, bool keep_alive,
+             std::chrono::steady_clock::time_point t0,
+             obs::Histogram* first_chunk_ms, obs::Counter* chunks)
+      : fd_(fd),
+        stream_(stream),
+        keep_alive_(keep_alive),
+        t0_(t0),
+        m_first_chunk_ms_(first_chunk_ms),
+        m_chunks_(chunks) {}
 
-  void OnAnswers(const Tuple* tuples, size_t count,
+  bool OnAnswers(const Tuple* tuples, size_t count,
                  const SymbolTable& symbols) override {
+    if (failed_) return false;
     std::string line = "{\"tuples\": [";
     for (size_t i = 0; i < count; ++i) {
       if (i > 0) line += ", ";
@@ -457,13 +493,82 @@ class NdjsonSink : public AnswerSink {
       line += "\"]";
     }
     line += "]}\n";
-    std::lock_guard<std::mutex> lock(state_->mu);
-    state_->lines.push_back(std::move(line));
-    state_->cv.notify_one();
+    ++lines_;
+    if (!stream_) {
+      body_ += line;
+      return true;
+    }
+    // One send for the head, then one per chunk: the split the delayed-ACK
+    // stall depends on (docs/architecture.md, "Known stall").
+    if (lines_ == 1 &&
+        !Write(ResponseHead(200, keep_alive_, /*chunked=*/true, 0))) {
+      return false;
+    }
+    if (!Write(ChunkFrame(line))) return false;
+    if (lines_ == 1) m_first_chunk_ms_->Observe(MsSince(t0_));
+    m_chunks_->Inc();
+    return true;
   }
 
+  /// Sends, blocking, whatever the socket did not take during evaluation.
+  /// False once any write failed: the client is gone.
+  bool Flush() {
+    if (!failed_ && backlog_sent_ < backlog_.size()) {
+      failed_ = !SendAll(fd_, backlog_.data() + backlog_sent_,
+                         backlog_.size() - backlog_sent_);
+    }
+    return !failed_;
+  }
+
+  /// Answer lines rendered so far; once nonzero the status line is 200.
+  size_t lines() const { return lines_; }
+  /// Buffered mode: the answer lines, in chunk order.
+  const std::string& body() const { return body_; }
+
  private:
-  std::shared_ptr<StreamState> state_;
+  /// One non-blocking send of `bytes`, or of the backlog they join when
+  /// earlier bytes are still waiting; the unsent rest stays in the backlog.
+  /// Under no backpressure that is exactly one send per call.
+  bool Write(const std::string& bytes) {
+    const bool queued = backlog_sent_ < backlog_.size();
+    if (queued) backlog_ += bytes;
+    const char* data = queued ? backlog_.data() + backlog_sent_ : bytes.data();
+    const size_t n = queued ? backlog_.size() - backlog_sent_ : bytes.size();
+    size_t off = 0;
+    while (off < n) {
+      ssize_t w = send(fd_, data + off, n - off, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (w > 0) {
+        off += static_cast<size_t>(w);
+      } else if (w < 0 && errno == EINTR) {
+        continue;
+      } else if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
+        break;
+      } else {
+        failed_ = true;
+        return false;
+      }
+    }
+    if (queued) {
+      backlog_sent_ += off;
+    } else if (off < n) {
+      backlog_.assign(data + off, n - off);
+      backlog_sent_ = 0;
+    }
+    return true;
+  }
+
+  const int fd_;
+  const bool stream_;
+  const bool keep_alive_;
+  const std::chrono::steady_clock::time_point t0_;
+  obs::Histogram* const m_first_chunk_ms_;
+  obs::Counter* const m_chunks_;
+  size_t lines_ = 0;
+  bool failed_ = false;
+  std::string body_;
+  /// Bytes the socket has not taken yet: backlog_[backlog_sent_..].
+  std::string backlog_;
+  size_t backlog_sent_ = 0;
 };
 
 /// The stream's final NDJSON line: terminal status, epoch, and the
@@ -493,49 +598,6 @@ std::string RenderTrailer(const QueryResponse& resp) {
   out += "}}\n";
   return out;
 }
-
-// ------------------------------------------------------- response framing
-
-bool SendResponseHead(int fd, int status, bool keep_alive, bool chunked,
-                      size_t content_length, int retry_after_s = 0) {
-  std::string head = "HTTP/1.1 " + std::to_string(status) + " " +
-                     ReasonPhrase(status) +
-                     "\r\nContent-Type: application/x-ndjson\r\n";
-  if (chunked) {
-    head += "Transfer-Encoding: chunked\r\n";
-  } else {
-    head += "Content-Length: " + std::to_string(content_length) + "\r\n";
-  }
-  if (retry_after_s > 0) {
-    head += "Retry-After: " + std::to_string(retry_after_s) + "\r\n";
-  }
-  head += keep_alive ? "Connection: keep-alive\r\n\r\n"
-                     : "Connection: close\r\n\r\n";
-  return SendAll(fd, head.data(), head.size());
-}
-
-/// A Content-Length response: the head and the body, as two sends.
-bool SendSized(int fd, int status, bool keep_alive, const std::string& body,
-               int retry_after_s = 0) {
-  return SendResponseHead(fd, status, keep_alive, /*chunked=*/false,
-                          body.size(), retry_after_s) &&
-         SendAll(fd, body.data(), body.size());
-}
-
-/// One HTTP chunk: hex size line, payload, CRLF.
-bool SendChunk(int fd, const std::string& payload) {
-  char size_line[32];
-  int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n",
-                        payload.size());
-  std::string frame;
-  frame.reserve(payload.size() + n + 2);
-  frame.append(size_line, static_cast<size_t>(n));
-  frame.append(payload);
-  frame.append("\r\n");
-  return SendAll(fd, frame.data(), frame.size());
-}
-
-bool SendLastChunk(int fd) { return SendAll(fd, "0\r\n\r\n", 5); }
 
 // ---------------------------------------------------------------- admission
 
@@ -586,7 +648,7 @@ DataServer::DataServer(QueryService* service, DataServerOptions options)
       "Data-plane requests answered 429 by the per-client token bucket");
   m_overloaded_ = reg.GetCounter(
       "binchain_dataplane_overloaded_total",
-      "Data-plane requests answered 503 (service shed or not serving)");
+      "Data-plane requests answered 503 (service not serving yet)");
   m_errors_ = reg.GetCounter(
       "binchain_dataplane_errors_total",
       "Data-plane requests answered with a non-2xx status or dropped");
@@ -707,35 +769,23 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
         retry_s);
   }
 
-  auto state = std::make_shared<StreamState>();
-  NdjsonSink sink(state);
+  // Evaluated on this thread (or parked on an identical flight); the sink
+  // writes every answer chunk to the socket as it is derived, and here
+  // sends what the socket could not take without waiting.
+  NdjsonSink sink(fd, stream, keep_alive, t0, m_first_chunk_ms_, m_chunks_);
   query.sink = &sink;
-
-  std::vector<QueryRequest> batch;
-  batch.push_back(std::move(query));
-  BatchHandle handle =
-      service_->SubmitBatch(std::move(batch), [state](const BatchStats&) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->done = true;
-        state->cv.notify_all();
-      });
-  QueryFuture& future = handle.future(0);
-
-  // Wait for the first event: an answer chunk (the stream is live — commit
-  // to 200) or completion with nothing emitted (failures and empty answer
-  // sets — the terminal status can still pick the HTTP status line).
-  bool done_first = false;
-  {
-    std::unique_lock<std::mutex> lock(state->mu);
-    state->cv.wait(lock,
-                   [&state] { return !state->lines.empty() || state->done; });
-    done_first = state->done && state->lines.empty();
+  QueryResponse resp = service_->Eval(query);
+  if (!sink.Flush()) {
+    // The client is gone; a refused chunk already cancelled the query.
+    listener_.CountError();
+    return false;
   }
 
-  if (done_first) {
-    QueryResponse resp = future.Take();
+  if (sink.lines() == 0) {
+    // Nothing was emitted (failures and empty answer sets): the terminal
+    // status can still pick the HTTP status line.
     StatusCode code = resp.status.code();
-    if (code == StatusCode::kOverloaded || code == StatusCode::kUnavailable) {
+    if (code == StatusCode::kUnavailable) {
       m_overloaded_->Inc();
       return send_error(503, resp.status, /*retry_after_s=*/1);
     }
@@ -744,75 +794,24 @@ bool DataServer::HandleQuery(int fd, const HttpRequest& req,
         code == StatusCode::kUnsupported) {
       return send_error(400, resp.status, 0);
     }
-    // Admitted and evaluated (ok, or expired/cancelled before any flush):
-    // 200, with the whole story in the trailer.
-    std::string body = RenderTrailer(resp);
-    if (stream) {
-      if (!SendResponseHead(fd, 200, keep_alive, /*chunked=*/true, 0) ||
-          !SendChunk(fd, body) || !SendLastChunk(fd)) {
-        return false;
-      }
-      m_streamed_->Inc();
-    } else {
-      if (!SendSized(fd, 200, keep_alive, body)) return false;
-    }
-    m_request_ms_->Observe(MsSince(t0));
-    return true;
   }
 
+  // Admitted and evaluated: 200, with the whole story in the trailer.
   if (!stream) {
-    // Buffered mode: let the evaluation finish, then frame the exact same
-    // NDJSON lines as one Content-Length body. Byte-identical to the
-    // streamed payload by construction — same sink, same renderer.
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock, [&state] { return state->done; });
+    // Buffered: the exact same NDJSON lines as one Content-Length body.
+    // Byte-identical to the streamed payload by construction — same sink,
+    // same renderer.
+    if (!SendSized(fd, 200, keep_alive, sink.body() + RenderTrailer(resp))) {
+      return false;
     }
-    QueryResponse resp = future.Take();
-    std::string body;
-    for (const std::string& line : state->lines) body += line;
-    m_chunks_->Inc(state->lines.size());
-    body += RenderTrailer(resp);
-    if (!SendSized(fd, 200, keep_alive, body)) return false;
+    m_chunks_->Inc(sink.lines());
     m_request_ms_->Observe(MsSince(t0));
     return true;
   }
-
-  // Streaming: commit to 200 + chunked and relay lines as they land. On
-  // any write failure the client is gone — cancel the query, then drain
-  // to completion so the sink is provably idle before it leaves scope.
-  bool write_ok = SendResponseHead(fd, 200, keep_alive, /*chunked=*/true, 0);
-  bool first_chunk = true;
-  std::deque<std::string> ready;
-  for (;;) {
-    {
-      std::unique_lock<std::mutex> lock(state->mu);
-      state->cv.wait(lock,
-                     [&state] { return !state->lines.empty() || state->done; });
-      ready.swap(state->lines);
-      if (ready.empty() && state->done) break;
-    }
-    for (const std::string& line : ready) {
-      if (!write_ok) break;
-      write_ok = SendChunk(fd, line);
-      if (write_ok && first_chunk) {
-        first_chunk = false;
-        m_first_chunk_ms_->Observe(MsSince(t0));
-      }
-      if (write_ok) m_chunks_->Inc();
-    }
-    ready.clear();
-    if (!write_ok) {
-      future.Cancel();
-      {
-        std::unique_lock<std::mutex> lock(state->mu);
-        state->cv.wait(lock, [&state] { return state->done; });
-      }
-      break;
-    }
-  }
-  QueryResponse resp = future.Take();
-  if (!write_ok || !SendChunk(fd, RenderTrailer(resp)) || !SendLastChunk(fd)) {
+  if ((sink.lines() == 0 &&
+       !SendString(fd, ResponseHead(200, keep_alive, /*chunked=*/true, 0))) ||
+      !SendString(fd, ChunkFrame(RenderTrailer(resp))) ||
+      !SendLastChunk(fd)) {
     listener_.CountError();
     return false;
   }

@@ -10,10 +10,13 @@
 //    one option surface, documented in docs/wire_protocol.md).
 //  * Streaming by default: the response is NDJSON answer chunks under
 //    chunked transfer encoding, delivered *while the fixpoint runs*. The
-//    handler threads an AnswerSink through the request the same way the
-//    CancelToken is threaded, so the first chunk leaves the socket at the
-//    engine's first flush point, strictly before evaluation completes on
-//    multi-iteration workloads. A final trailer line carries the terminal
+//    handler evaluates the query itself (QueryService::Eval) with an
+//    AnswerSink that writes each chunk straight to the socket, so the
+//    first chunk leaves at the engine's first flush point, strictly
+//    before evaluation completes on multi-iteration workloads, with no
+//    thread hop in between. Those writes never block: identical requests
+//    may be parked on this evaluation, so what a slow client's socket
+//    does not take is kept and sent by its own handler afterwards. A final trailer line carries the terminal
 //    status, epoch, and EvalStats. `"stream": false` buffers the same
 //    lines into one Content-Length response — byte-identical payload, no
 //    incremental delivery.
@@ -21,22 +24,27 @@
 //    the admin plane) connections are reused up to
 //    max_requests_per_connection; chunked framing makes each response
 //    self-delimiting.
-//  * Admission control in layers: token buckets (RateLimiter — a
-//    peer-aggregate bucket charged first, then a per-identity bucket
-//    keyed (peer, client_id), so a client-chosen id can never escape its
-//    peer's budget) answering 429 with a computed Retry-After, and the
-//    query service's own queue high-water mark surfacing as
-//    503 + Retry-After.
+//  * Admission control in layers: the listener's accept queue (past
+//    queue_capacity waiting connections: 503 + Retry-After), token
+//    buckets (RateLimiter — a peer-aggregate bucket charged first, then a
+//    per-identity bucket keyed (peer, client_id), so a client-chosen id
+//    can never escape its peer's budget) answering 429 with a computed
+//    Retry-After, and the service's recovery gate (kUnavailable: 503 +
+//    Retry-After). The service's submission-queue high-water mark is not
+//    a layer here: the handler evaluates on its own thread, so the query
+//    never queues and is never shed with kOverloaded.
 //    A request that passes admission is answered 200 even if evaluation
-//    later fails — the terminal status travels in the trailer, because
-//    the HTTP status line has already been sent by then.
+//    later fails once a chunk was sent — the terminal status travels in
+//    the trailer, because the HTTP status line has already been sent.
 //
 // Connections run on HttpListener (http_common.h), the one accept thread,
 // bounded hand-off queue, handler pool and request-head reader both planes
-// share; DataServer adds the body read, admission, submission and
-// streaming. A handler blocks on its query's chunks, so handler_threads
-// bounds concurrent HTTP-driven evaluations — set it below the service's
-// worker count to keep in-process callers from starving.
+// share; DataServer adds the body read, admission, evaluation and
+// streaming. Each handler evaluates one query at a time on an evaluation
+// context of its own, so handler_threads is the one bound on concurrent
+// HTTP-driven evaluations: the service's num_threads and queue_depth size
+// its pool, which the data plane does not use and which stays with
+// in-process callers.
 #ifndef BINCHAIN_SERVER_DATA_SERVER_H_
 #define BINCHAIN_SERVER_DATA_SERVER_H_
 
@@ -66,7 +74,7 @@ struct DataServerOptions {
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   uint16_t port = 0;
   /// Handler threads — the bound on concurrent HTTP-driven queries (each
-  /// handler blocks on one query's stream at a time).
+  /// handler evaluates one query at a time, on its own thread).
   size_t handler_threads = 4;
   /// Cap on the request head (request line + headers); larger heads are
   /// answered 431 and the connection dropped.
@@ -109,7 +117,7 @@ class DataServer {
   /// Binds, listens, and launches the accept + handler threads.
   Status Start() { return listener_.Start(); }
   /// Shuts the listener down and joins every thread. In-flight streams
-  /// finish (their queries complete or get cancelled by client drop);
+  /// finish (their queries complete, or unwind when a write fails);
   /// idle keep-alive connections are woken and closed, and
   /// queued-but-unserved connections are closed. Idempotent.
   void Stop() { listener_.Stop(); }
@@ -125,7 +133,7 @@ class DataServer {
   /// Routes one request head, reads its body, and answers it. Returns
   /// whether the connection is still healthy enough for another request.
   bool Serve(HttpConnection* conn, HttpRequest* req, bool keep_alive);
-  /// Parses, admits, submits, and streams (or buffers) one query.
+  /// Parses, admits, evaluates, and streams (or buffers) one query.
   bool HandleQuery(int fd, const HttpRequest& req, const std::string& peer,
                    bool keep_alive);
 

@@ -45,20 +45,27 @@ uint64_t FingerprintProgram(const std::string& rendered) {
 }
 
 /// Wraps a request's streaming sink for one evaluation: counts delivered
-/// chunks (QueryTrace::chunks) on the way through. Stack-local in RunOne.
+/// chunks (QueryTrace::chunks) on the way through, and turns a consumer
+/// that stops accepting (OnAnswers returned false — a data-plane client
+/// that hung up) into a cancellation of the request's token, so the
+/// traversal unwinds at its next poll. Stack-local in RunOne.
 class CountingSink : public AnswerSink {
  public:
-  explicit CountingSink(AnswerSink* inner) : inner_(inner) {}
+  CountingSink(AnswerSink* inner, CancelToken* token)
+      : inner_(inner), token_(token) {}
   uint64_t chunks = 0;
-  void OnAnswers(const Tuple* tuples, size_t count,
+  bool OnAnswers(const Tuple* tuples, size_t count,
                  const SymbolTable& symbols) override {
-    if (count == 0) return;
+    if (count == 0) return true;
     ++chunks;
-    inner_->OnAnswers(tuples, count, symbols);
+    if (inner_->OnAnswers(tuples, count, symbols)) return true;
+    token_->Cancel();
+    return false;
   }
 
  private:
   AnswerSink* inner_;
+  CancelToken* token_;
 };
 
 }  // namespace
@@ -225,6 +232,7 @@ namespace {
 void ReplayToSink(AsyncQueryState& q) {
   if (q.request.sink == nullptr || q.response.tuples.empty()) return;
   q.response.trace.chunks = 1;
+  // Nothing left to stop if the consumer refuses: the answer is complete.
   q.request.sink->OnAnswers(q.response.tuples.data(),
                             q.response.tuples.size(),
                             q.batch->db->symbols());
@@ -332,19 +340,22 @@ std::vector<QueryResponse> BatchHandle::Take(BatchStats* stats) {
 
 // ---------------------------------------------------------- QueryService
 
-/// A worker's private evaluation context. Only the cheap mutable scratch
-/// lives here (term pool, view registry, both engines' node sets);
-/// everything immutable-per-snapshot — the program plan, and the epoch's
+/// A private evaluation context, leased from the service's one free list:
+/// a pool worker takes one on its first task and keeps it, and an Eval
+/// caller holds one for its evaluation. Only the cheap mutable scratch lives
+/// here (term pool, view registry, both engines' node sets); everything
+/// immutable-per-snapshot — the program plan, and the epoch's
 /// EvalArtifacts (shared adjacency memos, closure/source caches) — is
-/// shared read-only, so workers never synchronize with each other after
+/// shared read-only, so contexts never synchronize with each other after
 /// construction beyond the artifacts' fill-once publication.
 struct QueryService::Worker {
+  static constexpr uint64_t kUnbound = ~uint64_t{0};
   Worker(Database* db, std::shared_ptr<const PreparedProgram> plan)
-      : engine(db, std::move(plan)), bound_epoch(db->epoch()) {}
+      : engine(db, std::move(plan)) {}
   QueryEngine engine;
-  /// Epoch the engine's views currently point at; workers rebind lazily on
-  /// the first query they serve after a publish.
-  uint64_t bound_epoch;
+  /// Epoch the engine's views currently point at; a context binds lazily
+  /// on the first query it serves on a new epoch (or at all).
+  uint64_t bound_epoch = kUnbound;
 };
 
 QueryService::QueryService(Database* db, const Program& program,
@@ -491,13 +502,6 @@ void QueryService::AdoptSnapshot(Database* db) {
     // slot; the other service's workers keep their shared_ptr unharmed.
     db->AttachArtifact(EvalArtifacts::BuildFor(*db, plan_, nullptr));
   }
-  for (auto& w : workers_) {
-    if (Status s = w->engine.BindSnapshot(*db); !s.ok()) {
-      init_status_ = s;
-      return;
-    }
-    w->bound_epoch = db->epoch();
-  }
 }
 
 bool QueryService::Init(const Program& program, const Options& options) {
@@ -565,10 +569,7 @@ bool QueryService::Init(const Program& program, const Options& options) {
 
   size_t n = options.num_threads;
   if (n == 0) n = std::max(1u, std::thread::hardware_concurrency());
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>(db_, plan_));
-  }
+  workers_.resize(n);  // each filled by its pool thread's first task
   return true;
 }
 
@@ -635,7 +636,7 @@ Status QueryService::BuildLiteral(const Database& db,
   return Status::Ok();
 }
 
-void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
+void QueryService::RunOne(Worker& w, AsyncQueryState& q) {
   QueryResponse& resp = q.response;
   const Database* qdb = q.batch->db;
   resp.epoch = qdb->epoch();
@@ -657,12 +658,11 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
         "request deadline expired before evaluation");
     return;
   }
-  Worker& w = *workers_[worker_id];
-  if (live_ != nullptr && w.bound_epoch != qdb->epoch()) {
-    // Epoch bump: re-point this worker's views at the batch's snapshot.
-    // Term pool, compiled machines, and rex cache survive — the epoch
-    // extends the same symbol-id space — so this is O(#relations), not a
-    // per-query rebuild.
+  if (w.bound_epoch != qdb->epoch()) {
+    // Epoch bump (or a fresh caller context): re-point the views at the
+    // batch's snapshot. Term pool, compiled machines, and rex cache
+    // survive — the epoch extends the same symbol-id space — so this is
+    // O(#relations), not a per-query rebuild.
     if (Status s = w.engine.BindSnapshot(*qdb); !s.ok()) {
       resp.status = s;
       return;
@@ -686,7 +686,7 @@ void QueryService::RunOne(size_t worker_id, AsyncQueryState& q) {
   // chunks to the sink at those same points.
   EvalOptions options = q.request.options.ToEvalOptions();
   options.cancel = &q.token;
-  CountingSink counting(q.request.sink);
+  CountingSink counting(q.request.sink, &q.token);
   if (q.request.sink != nullptr) options.sink = &counting;
   auto r = w.engine.Query(lit, options);
   resp.trace.chunks = counting.chunks;
@@ -835,7 +835,7 @@ QueryService::FlightShard& QueryService::ShardOf(const AsyncQueryState& q) {
   return flight_shards_[(q.flight_hash >> 32) % kFlightShards];
 }
 
-void QueryService::FinishEval(size_t worker_id,
+void QueryService::FinishEval(Worker& ctx,
                               std::shared_ptr<AsyncQueryState> q) {
   while (q != nullptr) {
     MaybeCacheInsert(*q);
@@ -890,18 +890,35 @@ void QueryService::FinishEval(size_t worker_id,
     }
     CompleteQuery(*q);
     q = std::move(next);
-    if (q != nullptr) RunOne(worker_id, *q);
+    if (q != nullptr) RunOne(ctx, *q);
   }
 }
 
+std::unique_ptr<QueryService::Worker> QueryService::LeaseContext() {
+  {
+    std::lock_guard<std::mutex> lock(contexts_mu_);
+    if (!idle_contexts_.empty()) {
+      std::unique_ptr<Worker> w = std::move(idle_contexts_.back());
+      idle_contexts_.pop_back();
+      return w;
+    }
+  }
+  // Contexts exist only for evaluations that ran: as many as the pool
+  // threads that took a task plus the peak of concurrent Eval callers. A
+  // new one binds to the epoch on its first RunOne.
+  return std::make_unique<Worker>(db_, plan_);
+}
+
 void QueryService::Dispatch(std::shared_ptr<AsyncQueryState> state,
-                            bool blocking) {
+                            DispatchMode mode) {
   AsyncQueryState& q = *state;
   auto task = [this, raw = &q](size_t worker_id) {
     std::shared_ptr<AsyncQueryState> claimed = std::move(raw->queued_ref);
     if (obs_->enabled) obs_->queue_depth->Add(-1);  // claimed
-    RunOne(worker_id, *claimed);
-    FinishEval(worker_id, std::move(claimed));
+    std::unique_ptr<Worker>& w = workers_[worker_id];
+    if (w == nullptr) w = LeaseContext();  // kept for the thread's life
+    RunOne(*w, *claimed);
+    FinishEval(*w, std::move(claimed));
   };
   bool accepted = true;
   {
@@ -919,6 +936,10 @@ void QueryService::Dispatch(std::shared_ptr<AsyncQueryState> state,
       // than time out waiting.
       AsyncQueryState& leader = *flight->second;
       if (leader.token.deadline() <= q.token.deadline()) {
+        // An Eval caller's sink stays on the caller's thread: the leader's
+        // thread must not write to another request's client. Eval replays
+        // the answer to it once Take() returns.
+        if (mode == DispatchMode::kHere) q.request.sink = nullptr;
         // Copies of q that its batch parked on it come along.
         for (auto& w : q.waiters) leader.waiters.push_back(std::move(w));
         q.waiters.clear();
@@ -929,25 +950,40 @@ void QueryService::Dispatch(std::shared_ptr<AsyncQueryState> state,
       shard.leaders.emplace_back(q.flight_hash, &q);
       q.leads = true;
     }
-    q.queued_ref = std::move(state);
-    // Increment-before-submit so a worker's claim-time decrement (which can
-    // run the instant the pool accepts) never observes the gauge low.
-    if (obs_->enabled) obs_->queue_depth->Add(1);
-    // Leading a flight and being accepted by the pool are one step under
-    // the shard lock: nobody can park on a request that is then shed.
-    if (!blocking && !pool_->TrySubmit(task)) {
-      if (q.leads) shard.leaders.pop_back();  // nobody parked yet
-      q.leads = false;
-      q.queued_ref.reset();  // the task is dropped unrun
-      accepted = false;
+    if (mode != DispatchMode::kHere) {
+      q.queued_ref = std::move(state);
+      // Increment-before-submit so a worker's claim-time decrement (which
+      // can run the instant the pool accepts) never observes the gauge low.
+      if (obs_->enabled) obs_->queue_depth->Add(1);
+      // Leading a flight and being accepted by the pool are one step under
+      // the shard lock: nobody can park on a request that is then shed.
+      if (mode == DispatchMode::kShed && !pool_->TrySubmit(task)) {
+        if (q.leads) shard.leaders.pop_back();  // nobody parked yet
+        q.leads = false;
+        q.queued_ref.reset();  // the task is dropped unrun
+        accepted = false;
+      }
     }
   }
-  if (blocking) {
-    // Backpressure, outside the shard lock: workers need that lock to
-    // finish their flights and free queue room. SubmitBlocking never
-    // refuses, so a flight registered above is sure to run.
-    pool_->SubmitBlocking(std::move(task));
-    return;
+  switch (mode) {
+    case DispatchMode::kHere: {
+      // The pool task's body, on the calling thread: no queue hop, and the
+      // sink's chunks leave from here too.
+      std::unique_ptr<Worker> ctx = LeaseContext();
+      RunOne(*ctx, q);
+      FinishEval(*ctx, std::move(state));
+      std::lock_guard<std::mutex> lock(contexts_mu_);
+      idle_contexts_.push_back(std::move(ctx));
+      return;
+    }
+    case DispatchMode::kBlock:
+      // Backpressure, outside the shard lock: workers need that lock to
+      // finish their flights and free queue room. SubmitBlocking never
+      // refuses, so a flight registered above is sure to run.
+      pool_->SubmitBlocking(std::move(task));
+      return;
+    case DispatchMode::kShed:
+      break;
   }
   if (accepted) return;
   if (obs_->enabled) obs_->queue_depth->Add(-1);  // never enqueued
@@ -1108,7 +1144,7 @@ std::shared_ptr<BatchShared> QueryService::MakeBatchShared(size_t queries) {
 
 BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
                                        BatchCallback on_complete,
-                                       bool blocking) {
+                                       DispatchMode mode) {
   BatchHandle handle;
   auto shared = MakeBatchShared(batch.size());
   shared->on_complete = std::move(on_complete);
@@ -1127,7 +1163,7 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
   // each later copy of a key parks on the batch's first copy (when its
   // deadline is no earlier) before any copy is dispatched. An async batch
   // dispatches as it goes, so a copy can never park on a shed one.
-  const bool group = blocking && batch.size() > 1;
+  const bool group = mode == DispatchMode::kBlock && batch.size() > 1;
   // First copies, open-addressed on flight_hash at load <= 1/2.
   std::vector<AsyncQueryState*> firsts;
   std::vector<std::shared_ptr<AsyncQueryState>> grouped;
@@ -1165,7 +1201,7 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
     // queue traffic, no worker handoff.
     if (TryServeFromCache(*state)) continue;
     if (!group) {
-      Dispatch(std::move(state), blocking);
+      Dispatch(std::move(state), mode);
       continue;
     }
     size_t slot = state->flight_hash & (firsts.size() - 1);
@@ -1183,14 +1219,15 @@ BatchHandle QueryService::SubmitShared(std::vector<QueryRequest> batch,
     }
     grouped.push_back(std::move(state));
   }
-  for (auto& state : grouped) Dispatch(std::move(state), true);
+  for (auto& state : grouped) Dispatch(std::move(state), DispatchMode::kBlock);
   return handle;
 }
 
 QueryFuture QueryService::Submit(QueryRequest request) {
   std::vector<QueryRequest> one;
   one.push_back(std::move(request));
-  BatchHandle handle = SubmitShared(std::move(one), nullptr, false);
+  BatchHandle handle =
+      SubmitShared(std::move(one), nullptr, DispatchMode::kShed);
   // Moving the future out disarms the handle's drop-cancellation; the
   // batch state stays alive behind the future.
   return std::move(handle.futures_[0]);
@@ -1198,16 +1235,30 @@ QueryFuture QueryService::Submit(QueryRequest request) {
 
 BatchHandle QueryService::SubmitBatch(std::vector<QueryRequest> batch,
                                       BatchCallback on_complete) {
-  return SubmitShared(std::move(batch), std::move(on_complete), false);
+  return SubmitShared(std::move(batch), std::move(on_complete),
+                      DispatchMode::kShed);
 }
 
 QueryResponse QueryService::Eval(const QueryRequest& request) {
-  return SubmitShared({request}, nullptr, true).future(0).Take();
+  // Evaluated here, inside SubmitShared, unless it parks on a flight; then
+  // Take() waits for that flight's fan-out.
+  BatchHandle handle = SubmitShared({request}, nullptr, DispatchMode::kHere);
+  QueryResponse resp = handle.future(0).Take();
+  // A parked request reaches its sink only here, on its own thread: the
+  // flight replayed (or, as a promoted waiter, evaluated) it without one.
+  // The handle still pins the epoch the answer's symbols live in.
+  if (request.sink != nullptr && resp.trace.chunks == 0 &&
+      !resp.tuples.empty()) {
+    resp.trace.chunks = 1;
+    request.sink->OnAnswers(resp.tuples.data(), resp.tuples.size(),
+                            handle.shared_->db->symbols());
+  }
+  return resp;
 }
 
 std::vector<QueryResponse> QueryService::EvalBatch(
     const std::vector<QueryRequest>& batch, BatchStats* stats) {
-  return SubmitShared(batch, nullptr, true).Take(stats);
+  return SubmitShared(batch, nullptr, DispatchMode::kBlock).Take(stats);
 }
 
 }  // namespace binchain

@@ -2,8 +2,10 @@
 // snapshot. The paper's engine answers one p(a, Y) query at a time; this
 // layer turns it into a reusable service in the sense of the QSQ-style
 // evaluator frameworks — it owns a fixed thread pool fed by a bounded
-// submission queue, one evaluation context per worker (QueryEngine with its
-// own term pool, view registry and reset-and-reuse scratch), and the freeze
+// submission queue, a free list of evaluation contexts built on demand
+// (QueryEngine with its own term pool, view registry and reset-and-reuse
+// scratch; one per pool worker that ran a task and one per concurrent
+// Eval caller), and the freeze
 // step that makes the shared storage safe to read concurrently. The
 // program-derived artifacts — the Lemma 1 equation system, the inverted
 // system, and every compiled machine M(e_p) — are built once and shared
@@ -17,9 +19,13 @@
 // The queue has a configurable high-water mark: submissions past it are
 // answered immediately with StatusCode::kOverloaded instead of queueing
 // without bound. The blocking Eval/EvalBatch calls are thin wrappers over
-// the same submission core; they wait for queue room (backpressure)
+// the same submission core. EvalBatch waits for queue room (backpressure)
 // instead of shedding, so batch clients keep their all-queries-answered
-// contract.
+// contract. Eval skips the queue: the calling thread, which would only
+// block on the answer, evaluates the query itself on an evaluation
+// context leased from the free list. num_threads and queue_depth bound the
+// pool only; concurrent Eval calls are bounded by their callers (the data
+// plane's handler_threads).
 //
 // Identical queries are not evaluated twice at the same time. A flight
 // table keyed by (RequestKey, epoch) records every evaluation the pool has
@@ -156,10 +162,12 @@ struct QueryRequest {
   bool diagonal = false;
   QueryOptions options;
   /// Streaming: when set, newly derived answer chunks are delivered to
-  /// this sink *while the evaluation runs* (on the worker thread), shaped
-  /// per the binding pattern; QueryResponse::tuples still carries the
-  /// complete sorted set at the end. Replayed answers (cache hits, flight
-  /// waiters) arrive as one chunk.
+  /// this sink *while the evaluation runs* (on the evaluating thread — a
+  /// pool worker, or the Eval caller, which alone calls its sink), shaped
+  /// per the binding pattern;
+  /// QueryResponse::tuples still carries the complete sorted set at the
+  /// end. Replayed answers (cache hits, flight waiters) arrive as one
+  /// chunk. A sink that returns false cancels the request.
   /// Borrowed: must stay alive until the response is observable (the
   /// future completed / the blocking call returned). Never part of the
   /// request's cache identity.
@@ -253,11 +261,13 @@ struct BatchStats {
 /// Service configuration (namespace-scope so it can appear in default
 /// arguments of QueryService members).
 struct QueryServiceOptions {
-  /// Worker threads; 0 means std::thread::hardware_concurrency().
+  /// Pool worker threads; 0 means std::thread::hardware_concurrency().
+  /// Bounds Submit/SubmitBatch/EvalBatch evaluations, not Eval's, which
+  /// run on their callers' threads.
   size_t num_threads = 0;
   /// High-water mark of the submission queue: pending (accepted, not yet
   /// claimed) requests past this are shed with kOverloaded on the async
-  /// paths; the blocking paths wait for room instead.
+  /// paths; EvalBatch waits for room instead, and Eval never queues.
   size_t queue_depth = 1024;
   /// Slow-query flight recorder: spans of the last `flight_recorder_capacity`
   /// queries whose total latency reached `flight_recorder_min_ms` are
@@ -379,7 +389,7 @@ class QueryService {
   using Options = QueryServiceOptions;
 
   /// Loads `program` (rules and facts) against `db`, builds the shared
-  /// plan plus one evaluation context per worker, then freezes the
+  /// plan (evaluation contexts come later, on demand), then freezes the
   /// database. Check status() before issuing queries. If `db` is already
   /// frozen, the program must carry no facts and must intern no new
   /// symbols (i.e. an identical program was prepared against the database
@@ -466,8 +476,14 @@ class QueryService {
   BatchHandle SubmitBatch(std::vector<QueryRequest> batch,
                           BatchCallback on_complete = nullptr);
 
-  /// Evaluates one query, blocking until the response (backpressure
-  /// instead of shedding when the queue is full).
+  /// Evaluates one query on the calling thread, blocking until the
+  /// response. Same admission, cache and flight steps as Submit, then the
+  /// evaluation and its fan-out run here on a leased context instead of
+  /// on a pool worker (a request that parks on an identical flight waits
+  /// for that flight's answer instead). Never queues, so never answers
+  /// kOverloaded and is not bounded by num_threads. A streaming sink is
+  /// only ever called on this thread: a parked request gets its answer as
+  /// one chunk after the flight completes.
   QueryResponse Eval(const QueryRequest& request);
 
   /// Evaluates a batch, blocking; the response vector is indexed like
@@ -482,8 +498,8 @@ class QueryService {
   struct Worker;
   /// One shard of the flight table: the leaders of the flights whose
   /// (epoch, RequestKey) hash lands here, each beside that hash. Scanned
-  /// linearly — at most queue_depth + num_threads flights exist at once,
-  /// split over the shards — so registering a flight allocates nothing.
+  /// linearly — at most queue_depth + num_threads + the concurrent Eval
+  /// callers' flights exist at once, split over the shards.
   /// Sharded so that workers finishing different queries do not contend
   /// on one lock.
   struct alignas(64) FlightShard {
@@ -514,18 +530,23 @@ class QueryService {
   /// pin), with the epoch acquired now.
   std::shared_ptr<BatchShared> MakeBatchShared(size_t queries);
 
+  /// Where Dispatch sends a query that does not park on a flight: the
+  /// pool, shedding at the high-water mark (Submit/SubmitBatch) or waiting
+  /// for room (EvalBatch), or the calling thread itself (Eval).
+  enum class DispatchMode { kShed, kBlock, kHere };
+
   /// The one submission core behind Submit/SubmitBatch/Eval/EvalBatch:
   /// wraps `batch` into future states under one BatchHandle and, past
-  /// admission and the cache, hands each query to Dispatch. `blocking`
-  /// waits for queue room instead of shedding, and parks each later copy
-  /// of a key on the batch's first copy before dispatching, so a blocking
-  /// batch evaluates each distinct key once however fast workers finish.
+  /// admission and the cache, hands each query to Dispatch. A kBlock
+  /// batch parks each later copy of a key on the batch's first copy before
+  /// dispatching, so it evaluates each distinct key once however fast
+  /// workers finish.
   BatchHandle SubmitShared(std::vector<QueryRequest> batch,
-                           BatchCallback on_complete, bool blocking);
+                           BatchCallback on_complete, DispatchMode mode);
 
-  /// Evaluates one claimed query on worker `worker_id`'s context, writing
-  /// the response into its state.
-  void RunOne(size_t worker_id, AsyncQueryState& q);
+  /// Evaluates one claimed query on context `w`, writing the response into
+  /// its state.
+  void RunOne(Worker& w, AsyncQueryState& q);
   /// Marks `q` done, folds it into the batch aggregates, and fires the
   /// completion callback if it was the batch's last query.
   static void CompleteQuery(AsyncQueryState& q);
@@ -558,7 +579,7 @@ class QueryService {
   /// or deadline), its waiters still want the answer: the live waiter
   /// with the earliest deadline leads the flight next, the others stay
   /// parked on it, and it is evaluated here, after `q` has completed.
-  void FinishEval(size_t worker_id, std::shared_ptr<AsyncQueryState> q);
+  void FinishEval(Worker& ctx, std::shared_ptr<AsyncQueryState> q);
 
   /// One fan-out recipient: its own cancelled/expired token answers it
   /// without work; otherwise it replays `leader`'s response
@@ -573,8 +594,14 @@ class QueryService {
   /// pool in one step under the shard lock, so a request the full queue
   /// sheds with kOverloaded never has waiters. A request with a tighter
   /// deadline than the running flight's evaluates on its own,
-  /// unregistered. `blocking` waits for room instead of shedding.
-  void Dispatch(std::shared_ptr<AsyncQueryState> state, bool blocking);
+  /// unregistered. kHere runs the pool task's body — RunOne, then
+  /// FinishEval — on the calling thread, on a leased caller context.
+  void Dispatch(std::shared_ptr<AsyncQueryState> state, DispatchMode mode);
+
+  /// An evaluation context from the free list, or a new one when every
+  /// context is in use. A pool worker keeps its own; Dispatch returns an
+  /// Eval caller's to the list after FinishEval.
+  std::unique_ptr<Worker> LeaseContext();
 
   FlightShard& ShardOf(const AsyncQueryState& q);
 
@@ -595,7 +622,12 @@ class QueryService {
   SymbolId var_x_ = 0, var_y_ = 0;  // free-variable symbols, interned early
   bool has_free_vars_ = false;
   std::shared_ptr<const PreparedProgram> plan_;  // shared by all workers
+  /// Pool thread i's context, leased on its first task (null until then).
   std::vector<std::unique_ptr<Worker>> workers_;
+  /// Contexts no evaluation holds: returned by Eval callers, leased by
+  /// pool threads and callers alike. Never shrinks.
+  std::mutex contexts_mu_;
+  std::vector<std::unique_ptr<Worker>> idle_contexts_;
   size_t queue_depth_ = 1024;  // submission-queue high-water mark
   /// Cached pointers into obs::Registry::Global() plus the per-service
   /// flight recorder; batches carry a raw pointer to this. Declared before

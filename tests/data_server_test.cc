@@ -2,9 +2,9 @@
 // the service layer (sink threading, chunk/trace accounting, cache
 // replay), and the HTTP server end to end — chunked-vs-buffered payload
 // identity, keep-alive reuse, mid-stream deadline trailers, 429/503 with
-// Retry-After, and the defensive request-parsing paths. Runs under TSan
-// in CI (handlers, workers, and the accept loop all touch the stream
-// state).
+// Retry-After, clients that hang up or stop reading, and the defensive
+// request-parsing paths. Runs under TSan in CI (handlers evaluate beside
+// pool workers, and parked requests take answers over across threads).
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <stdlib.h>
@@ -14,19 +14,25 @@
 #include <arpa/inet.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
+#include "baselines/bottom_up.h"
 #include "datalog/parser.h"
 #include "durability/recovery.h"
 #include "eval/answer_sink.h"
 #include "live/snapshot_manager.h"
+#include "obs/metrics.h"
 #include "server/data_server.h"
 #include "server/rate_limiter.h"
 #include "service/query_service.h"
@@ -110,11 +116,12 @@ Program SgProgram(Database& db) {
 /// Records every chunk: tuples in arrival order, per-chunk sizes.
 class RecordingSink : public AnswerSink {
  public:
-  void OnAnswers(const Tuple* tuples, size_t count,
+  bool OnAnswers(const Tuple* tuples, size_t count,
                  const SymbolTable& symbols) override {
     (void)symbols;
     chunk_sizes_.push_back(count);
     for (size_t i = 0; i < count; ++i) tuples_.push_back(tuples[i]);
+    return true;
   }
   const std::vector<Tuple>& tuples() const { return tuples_; }
   const std::vector<size_t>& chunk_sizes() const { return chunk_sizes_; }
@@ -220,9 +227,14 @@ TEST(ServiceStreamingTest, AllBindingPatternsStreamTheirFullAnswerSet) {
 
 // ------------------------------------------------------------ HTTP client
 
-int ConnectTo(uint16_t port) {
+/// `rcvbuf` > 0 shrinks the client's receive buffer (set before connect,
+/// so the advertised window is small from the start).
+int ConnectTo(uint16_t port, int rcvbuf = 0) {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return -1;
+  if (rcvbuf > 0) {
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  }
   // Bounded reads: a server that stops answering fails the test instead
   // of hanging it.
   timeval tv{};
@@ -366,12 +378,12 @@ struct DataFixture {
   std::unique_ptr<DataServer> server;
 
   explicit DataFixture(int n = 64, DataServerOptions opts = {},
-                       size_t cache_bytes = 0) {
+                       size_t cache_bytes = 0, size_t num_threads = 2) {
     source = workloads::Fig7b(db, n);
     Program program =
         ParseProgram(workloads::SgProgramText(), db.symbols()).take();
     QueryServiceOptions sopts;
-    sopts.num_threads = 2;
+    sopts.num_threads = num_threads;
     sopts.answer_cache_bytes = cache_bytes;
     service = std::make_unique<QueryService>(&db, program, sopts);
     EXPECT_TRUE(service->status().ok()) << service->status().message();
@@ -615,6 +627,358 @@ TEST(DataServerTest, HugeMaxIterationsClampsInsteadOfOverflowing) {
   EXPECT_EQ(r.status, 200);
   EXPECT_NE(r.body.find("\"status\": \"ok\""), std::string::npos);
   EXPECT_EQ(r.body.find("\"answers\": 0"), std::string::npos);
+}
+
+// ------------------------------------------- evaluation on the handler
+
+uint64_t CounterValue(const char* name) {
+  return obs::Registry::Global().GetCounter(name, "")->Value();
+}
+
+uint64_t FirstChunkObservations() {
+  return obs::Registry::Global()
+      .GetHistogram("binchain_dataplane_first_chunk_ms", "")
+      ->Snapshot()
+      .count;
+}
+
+using NamePair = std::pair<std::string, std::string>;
+
+/// Every answer tuple of an NDJSON body's answer lines (the trailer
+/// excluded), sorted; duplicates are kept so exactly-once shows.
+std::vector<NamePair> AnswerPairs(const std::string& body) {
+  std::string answers, trailer;
+  if (!SplitTrailer(body, &answers, &trailer)) return {};
+  std::vector<NamePair> out;
+  size_t pos = 0;
+  while ((pos = answers.find("[\"", pos)) != std::string::npos) {
+    size_t a_end = answers.find("\", \"", pos + 2);
+    size_t b_end = answers.find("\"]", a_end + 4);
+    out.emplace_back(answers.substr(pos + 2, a_end - pos - 2),
+                     answers.substr(a_end + 4, b_end - a_end - 4));
+    pos = b_end + 2;
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// The seminaive oracle's answer to sg(source, Y) on a cold Fig7b(n).
+std::vector<NamePair> SeminaiveSg(int n, const std::string& source) {
+  Database db;
+  workloads::Fig7b(db, n);
+  Program program = SgProgram(db);
+  auto lit = ParseLiteral("sg(" + source + ", Y)", db.symbols());
+  EXPECT_TRUE(lit.ok());
+  auto tuples = SeminaiveQuery(program, db, lit.value(), nullptr);
+  EXPECT_TRUE(tuples.ok()) << tuples.status().message();
+  std::vector<NamePair> out;
+  for (const Tuple& t : tuples.value()) {
+    out.emplace_back(db.symbols().Name(t[0]), db.symbols().Name(t[1]));
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The handler evaluates its own query: a pool whose only worker is busy
+// does not delay an HTTP request.
+TEST(DataServerTest, QueryIsAnsweredWhileTheOnlyPoolWorkerIsBusy) {
+  DataFixture fx(1024, {}, /*cache_bytes=*/0, /*num_threads=*/1);
+  QueryFuture running = fx.service->Submit({"sg", fx.source, "", {}});
+  while (fx.service->pending() != 0) std::this_thread::yield();
+
+  HttpResult r = PostQuery(
+      fx.server->port(),
+      "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\", \"target\": \"" +
+          fx.source + "\", \"options\": {\"max_iterations\": 1}}");
+  EXPECT_FALSE(running.Ready()) << "answered only once the worker was free";
+  ASSERT_TRUE(r.ok);
+  EXPECT_EQ(r.status, 200);
+  EXPECT_NE(r.body.find("\"status\": \"ok\""), std::string::npos) << r.body;
+  running.Cancel();
+  running.Take();
+}
+
+// Two identical HTTP requests in flight together cost one evaluation: the
+// second parks on the first's flight and its sink is fed the replayed
+// answer. The membership query's one answer is derived a quarter of the
+// way into a long traversal, so the first request is provably still
+// evaluating when its chunk arrives and the second is sent.
+TEST(DataServerTest, ConcurrentIdenticalRequestsCollapseOntoOneFlight) {
+  constexpr int kN = 1024;
+  DataFixture fx(kN);
+  const std::string body = "{\"pred\": \"sg\", \"source\": \"" + fx.source +
+                           "\", \"target\": \"b" + std::to_string(kN * 3 / 4) +
+                           "\"}";
+  const uint64_t collapsed0 = CounterValue("binchain_cache_collapsed_total");
+
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  std::string raw = QueryRequestRaw(body, "", /*close=*/true);
+  ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  std::string carry;
+  char buf[4096];
+  while (carry.find("\"tuples\"") == std::string::npos) {
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "no answer chunk from the leader";
+    carry.append(buf, static_cast<size_t>(n));
+  }
+  HttpResult parked = PostQuery(fx.server->port(), body);
+  HttpResult leader;
+  ASSERT_TRUE(ReadResponse(fd, &carry, &leader));
+  close(fd);
+
+  ASSERT_TRUE(parked.ok);
+  EXPECT_EQ(leader.status, 200);
+  EXPECT_EQ(parked.status, 200);
+  EXPECT_EQ(CounterValue("binchain_cache_collapsed_total") - collapsed0, 1u);
+  std::string leader_answers, leader_trailer, parked_answers, parked_trailer;
+  ASSERT_TRUE(SplitTrailer(leader.body, &leader_answers, &leader_trailer));
+  ASSERT_TRUE(SplitTrailer(parked.body, &parked_answers, &parked_trailer));
+  EXPECT_EQ(parked_answers, leader_answers);
+  EXPECT_EQ(leader_answers, "{\"tuples\": [[\"" + fx.source + "\", \"b" +
+                                std::to_string(kN * 3 / 4) + "\"]]}\n");
+  for (const std::string* t : {&leader_trailer, &parked_trailer}) {
+    EXPECT_NE(t->find("\"status\": \"ok\""), std::string::npos) << *t;
+    EXPECT_NE(t->find("\"chunks\": 1"), std::string::npos) << *t;
+  }
+}
+
+// More streams than pool workers: every handler evaluates its own query
+// at once, each on its own leased context, and every stream carries
+// exactly the seminaive answer set.
+TEST(DataServerTest, ConcurrentStreamsOverFewerWorkersMatchSeminaive) {
+  constexpr int kN = 64;
+  constexpr int kStreams = 8;
+  DataServerOptions opts;
+  opts.handler_threads = kStreams;
+  DataFixture fx(kN, opts, /*cache_bytes=*/0, /*num_threads=*/2);
+  std::vector<HttpResult> results(kStreams);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kStreams; ++i) {
+    clients.emplace_back([&, i] {
+      while (!go.load()) std::this_thread::yield();
+      results[i] = PostQuery(
+          fx.server->port(),
+          "{\"pred\": \"sg\", \"source\": \"a" + std::to_string(i + 1) + "\"}");
+    });
+  }
+  go = true;
+  for (std::thread& t : clients) t.join();
+  for (int i = 0; i < kStreams; ++i) {
+    const std::string source = "a" + std::to_string(i + 1);
+    ASSERT_TRUE(results[i].ok) << source;
+    EXPECT_EQ(results[i].status, 200) << source;
+    EXPECT_TRUE(results[i].chunked) << source;
+    EXPECT_NE(results[i].chunks.back().find("\"status\": \"ok\""),
+              std::string::npos)
+        << source;
+    std::vector<NamePair> expected = SeminaiveSg(kN, source);
+    ASSERT_FALSE(expected.empty());
+    EXPECT_EQ(AnswerPairs(results[i].body), expected) << source;
+  }
+}
+
+// The first-chunk histogram holds one observation per streamed response
+// that carried answer chunks — none for empty, buffered or failed ones.
+TEST(DataServerTest, FirstChunkLatencyIsObservedOncePerStreamedResponse) {
+  DataFixture fx(64);
+  const uint16_t port = fx.server->port();
+  const uint64_t before = FirstChunkObservations();
+  int with_chunks = 0;
+  for (const char* source : {"a1", "a2"}) {
+    HttpResult r = PostQuery(port, std::string("{\"pred\": \"sg\", ") +
+                                       "\"source\": \"" + source + "\"}");
+    ASSERT_TRUE(r.ok);
+    ASSERT_GE(r.chunks.size(), 3u) << "answers + trailer";
+    ++with_chunks;
+  }
+  HttpResult empty =
+      PostQuery(port, "{\"pred\": \"sg\", \"source\": \"nosuch\"}");
+  ASSERT_TRUE(empty.ok);
+  EXPECT_EQ(empty.chunks.size(), 1u) << "trailer only";
+  HttpResult buffered = PostQuery(
+      port, "{\"pred\": \"sg\", \"source\": \"a3\", \"stream\": false}");
+  ASSERT_TRUE(buffered.ok);
+  EXPECT_FALSE(buffered.chunked);
+  HttpResult missing = PostQuery(port, "{\"pred\": \"nosuch\"}");
+  EXPECT_EQ(missing.status, 404);
+  EXPECT_EQ(FirstChunkObservations() - before,
+            static_cast<uint64_t>(with_chunks));
+}
+
+// A client that hangs up mid-stream stops the evaluation: the failed
+// write cancels the query, and the only handler is free again at once.
+TEST(DataServerTest, ClientDisconnectMidStreamCancelsEvaluation) {
+  DataServerOptions opts;
+  opts.handler_threads = 1;
+  DataFixture fx(1024, opts);
+  const uint64_t cancelled0 = CounterValue("binchain_service_cancelled_total");
+
+  int fd = ConnectTo(fx.server->port());
+  ASSERT_GE(fd, 0);
+  std::string raw =
+      QueryRequestRaw("{\"pred\": \"sg\", \"source\": \"" + fx.source + "\"}");
+  ASSERT_EQ(send(fd, raw.data(), raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(raw.size()));
+  std::string got;
+  char buf[4096];
+  while (got.find("\"tuples\"") == std::string::npos) {
+    ssize_t n = recv(fd, buf, sizeof(buf), 0);
+    ASSERT_GT(n, 0) << "no first chunk";
+    got.append(buf, static_cast<size_t>(n));
+  }
+  // Hang up hard: the reset makes the server's next write fail.
+  linger hard{1, 0};
+  setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+  close(fd);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  HttpResult next = PostQuery(
+      fx.server->port(),
+      "{\"pred\": \"sg\", \"source\": \"" + fx.source + "\", \"target\": \"" +
+          fx.source + "\", \"options\": {\"max_iterations\": 1}}");
+  const double waited_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+  ASSERT_TRUE(next.ok);
+  EXPECT_EQ(next.status, 200);
+  EXPECT_LT(waited_ms, 2000);
+  EXPECT_EQ(CounterValue("binchain_service_cancelled_total") - cancelled0, 1u);
+}
+
+/// A data plane whose one query, path(c1, Y), streams megabytes: a chain
+/// c1 -> ... -> c200 where every chain node also has 1000 leaves gives one
+/// chunk per level, ~200k answers, ~5 MB of NDJSON. The server's io
+/// timeout is far past the test clients' 10 s read timeout, so a handler
+/// blocked on a client that does not read shows as a failed read.
+struct WideAnswerFixture {
+  static constexpr int kLevels = 200;
+  static constexpr int kLeaves = 1000;
+  Database db;
+  std::unique_ptr<QueryService> service;
+  std::unique_ptr<DataServer> server;
+  const std::string body = "{\"pred\": \"path\", \"source\": \"c1\"}";
+  const std::string raw = QueryRequestRaw(body, "", /*close=*/true);
+
+  WideAnswerFixture() {
+    for (int i = 1; i <= kLevels; ++i) {
+      const std::string node = "c" + std::to_string(i);
+      if (i < kLevels) db.AddFact("e", {node, "c" + std::to_string(i + 1)});
+      for (int j = 0; j < kLeaves; ++j) {
+        db.AddFact("e", {node, node + "x" + std::to_string(j)});
+      }
+    }
+    Program program =
+        ParseProgram(workloads::PathProgramText(), db.symbols()).take();
+    QueryServiceOptions sopts;
+    sopts.num_threads = 1;
+    service = std::make_unique<QueryService>(&db, program, sopts);
+    EXPECT_TRUE(service->status().ok()) << service->status().message();
+    DataServerOptions opts;
+    opts.handler_threads = 3;
+    opts.io_timeout_ms = 60000;
+    server = std::make_unique<DataServer>(service.get(), opts);
+    EXPECT_TRUE(server->Start().ok());
+  }
+
+  static size_t answers() { return kLevels - 1 + kLevels * kLeaves; }
+
+  /// Sends the query on a new connection and reads until its first answer
+  /// chunk arrived, which shows the evaluation is under way. -1 on failure.
+  int StartStream(std::string* carry, int rcvbuf = 0) {
+    int fd = ConnectTo(server->port(), rcvbuf);
+    if (fd < 0) return -1;
+    char buf[4096];
+    bool ok = send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+              static_cast<ssize_t>(raw.size());
+    while (ok && carry->find("\"tuples\"") == std::string::npos) {
+      ssize_t n = recv(fd, buf, sizeof(buf), 0);
+      ok = n > 0;
+      if (ok) carry->append(buf, static_cast<size_t>(n));
+    }
+    if (!ok) close(fd);
+    return ok ? fd : -1;
+  }
+};
+
+/// Closes with a reset, so a server write blocked on this client fails now.
+void HangUp(int fd) {
+  linger hard{1, 0};
+  setsockopt(fd, SOL_SOCKET, SO_LINGER, &hard, sizeof(hard));
+  close(fd);
+}
+
+double MsSinceStart(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+// A parked client that never reads its megabytes holds up nobody else: a
+// parked request's answer is written by its own handler once the flight
+// completes, so the leader and another parked reader both finish while
+// the stalled client's handler is still blocked.
+TEST(DataServerTest, ParkedClientThatNeverReadsDelaysNoOtherResponse) {
+  WideAnswerFixture fx;
+  const uint64_t collapsed0 = CounterValue("binchain_cache_collapsed_total");
+  std::string carry;
+  int leader_fd = fx.StartStream(&carry);
+  ASSERT_GE(leader_fd, 0);
+  int stalled_fd = ConnectTo(fx.server->port(), /*rcvbuf=*/4096);
+  ASSERT_GE(stalled_fd, 0);
+  ASSERT_EQ(send(stalled_fd, fx.raw.data(), fx.raw.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(fx.raw.size()));
+  HttpResult other;
+  std::thread other_client(
+      [&] { other = PostQuery(fx.server->port(), fx.body); });
+
+  const auto t0 = std::chrono::steady_clock::now();
+  HttpResult leader;
+  const bool leader_read = ReadResponse(leader_fd, &carry, &leader);
+  other_client.join();
+  const double waited_ms = MsSinceStart(t0);
+  close(leader_fd);
+  HangUp(stalled_fd);
+
+  ASSERT_TRUE(leader_read) << "the leader's response never completed";
+  ASSERT_TRUE(other.ok) << "the reading waiter's response never completed";
+  EXPECT_LT(waited_ms, 8000);
+  EXPECT_EQ(CounterValue("binchain_cache_collapsed_total") - collapsed0, 2u)
+      << "both later requests should have parked on the leader's flight";
+  for (const HttpResult* r : {&leader, &other}) {
+    EXPECT_EQ(r->status, 200);
+    EXPECT_NE(r->chunks.back().find("\"status\": \"ok\""), std::string::npos);
+  }
+  const std::vector<NamePair> answers = AnswerPairs(leader.body);
+  EXPECT_EQ(answers.size(), WideAnswerFixture::answers());
+  EXPECT_EQ(AnswerPairs(other.body), answers);
+}
+
+// The mirror case: a leader whose client stops reading after its first
+// chunk does not hold its flight open. Its chunk writes never wait for the
+// socket (what the socket refuses is kept for its own handler to send
+// later), so the evaluation completes and the parked reader is answered.
+TEST(DataServerTest, StalledLeaderDoesNotHoldItsParkedRequests) {
+  WideAnswerFixture fx;
+  const uint64_t collapsed0 = CounterValue("binchain_cache_collapsed_total");
+  std::string carry;
+  int stalled_fd = fx.StartStream(&carry, /*rcvbuf=*/4096);
+  ASSERT_GE(stalled_fd, 0);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  HttpResult parked = PostQuery(fx.server->port(), fx.body);
+  const double waited_ms = MsSinceStart(t0);
+  HangUp(stalled_fd);
+
+  ASSERT_TRUE(parked.ok) << "the parked response never completed";
+  EXPECT_LT(waited_ms, 8000);
+  EXPECT_EQ(CounterValue("binchain_cache_collapsed_total") - collapsed0, 1u);
+  EXPECT_EQ(parked.status, 200);
+  EXPECT_NE(parked.chunks.back().find("\"status\": \"ok\""),
+            std::string::npos);
+  EXPECT_EQ(AnswerPairs(parked.body).size(), WideAnswerFixture::answers());
 }
 
 /// Self-cleaning scratch directory for the recovery-gated scenario.

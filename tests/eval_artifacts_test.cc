@@ -297,7 +297,11 @@ TEST(EvalArtifactsTest, SharedClosureCacheAcrossConcurrentAllFreeQueries) {
   ASSERT_TRUE(service.status().ok()) << service.status().message();
   // Concurrent *separate* submissions (a single batch of identical
   // requests would be collapsed by in-batch dedup into one evaluation —
-  // the point here is 4 workers racing on the fill-once cell).
+  // the point here is 4 workers racing on the fill-once cell). Submit,
+  // not Eval: Eval evaluates on each client's own thread, which would
+  // make it 12 racers instead of the pool's 4. Each client's iteration cap
+  // is distinct and far above need, so no request parks on another's
+  // flight and all 12 evaluate.
   constexpr size_t kClients = 12;
   std::vector<QueryResponse> responses(kClients);
   {
@@ -305,7 +309,9 @@ TEST(EvalArtifactsTest, SharedClosureCacheAcrossConcurrentAllFreeQueries) {
     clients.reserve(kClients);
     for (size_t i = 0; i < kClients; ++i) {
       clients.emplace_back([&, i] {
-        responses[i] = service.Eval(QueryRequest{"path", "", "", {}});
+        QueryRequest req{"path", "", "", {}};
+        req.options.max_iterations = (size_t{1} << 20) + i;
+        responses[i] = service.Submit(req).Take();
       });
     }
     for (std::thread& t : clients) t.join();
@@ -313,6 +319,7 @@ TEST(EvalArtifactsTest, SharedClosureCacheAcrossConcurrentAllFreeQueries) {
   uint64_t memo_hits = 0, fetches = 0;
   for (const QueryResponse& r : responses) {
     ASSERT_TRUE(r.status.ok()) << r.status.message();
+    EXPECT_FALSE(r.trace.collapsed);
     memo_hits += r.stats.memo_hits;
     fetches += r.fetches;
   }
